@@ -5,6 +5,12 @@ replacement (keeping every judge's ranking and ratings paired), refits the
 model from scratch, and the spread of the refitted parameters across
 replicates yields percentile confidence intervals.
 
+A replicate is determined by how often it draws each judge (its resampling
+vector, Efron 1982).  Its sufficient statistics are those multiplicities
+times per-judge tables built once per call: rating sums, pair indicators and
+rating-level counts.  Every sum is an exact integer, so the statistics are
+bit for bit those of the resampled dataset, without building it.
+
 Replicate ``b`` draws from the dedicated stream ``(seed, b)``, so results are
 identical no matter how replicates are scheduled, and adding replicates
 extends the existing ones instead of reshuffling them.
@@ -12,22 +18,33 @@ extends the existing ones instead of reshuffling them.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimation import FitResult, fit
-from .model import DEFAULT_BOUNDS, Dataset, ParamBounds
+from .model import (
+    DEFAULT_BOUNDS,
+    Dataset,
+    ParamBounds,
+    SufficientStats,
+    _freeze,
+    _log_binom_levels,
+)
 from .sampling import spawn_rng
 
 __all__ = ["resample", "percentile_interval", "BootstrapResult", "bootstrap_fit"]
 
 
+def _draw_judges(n_judges: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.integers(0, n_judges, size=n_judges)
+
+
 def resample(data: Dataset, rng: np.random.Generator) -> Dataset:
     """One bootstrap replicate: judges drawn with replacement, pairs intact."""
-    indices = rng.integers(0, data.n_judges, size=data.n_judges)
-    return data.take(indices)
+    return data.take(_draw_judges(data.n_judges, rng))
 
 
 def percentile_interval(values, alpha: float) -> tuple[float, float]:
@@ -71,9 +88,53 @@ class BootstrapResult:
         return self.theta_samples.size
 
 
-def _fit_replicate(args):
-    data, seed, b, bounds, method, exhaustive_cap = args
-    refit = fit(resample(data, spawn_rng(seed, b)), bounds, method, exhaustive_cap)
+@dataclass(frozen=True)
+class _JudgeTables:
+    """Per-judge rows whose multiplicity-weighted sums are replicate statistics.
+
+    ``ratings`` is ``I x J``; row ``i`` of ``pairs`` flattens the ``J x J``
+    indicator of judge ``i`` ranking ``u`` before ``v``; row ``i`` of
+    ``levels`` counts judge ``i``'s ratings at each level ``0..M``.
+    """
+
+    ratings: np.ndarray
+    pairs: np.ndarray
+    levels: np.ndarray
+    log_binom: np.ndarray
+    max_rating: int
+
+    @classmethod
+    def from_dataset(cls, data: Dataset) -> "_JudgeTables":
+        n_judges, n = data.ratings.shape
+        levels = data.max_rating + 1
+        positions = np.argsort(data.rankings, axis=1)
+        pairs = positions[:, :, None] < positions[:, None, :]
+        level_index = np.arange(n_judges)[:, None] * levels + data.ratings
+        return cls(
+            ratings=data.ratings,
+            pairs=pairs.reshape(n_judges, n * n).astype(np.int64),
+            levels=np.bincount(level_index.ravel(), minlength=n_judges * levels).reshape(
+                n_judges, levels
+            ),
+            log_binom=_log_binom_levels(data.max_rating),
+            max_rating=data.max_rating,
+        )
+
+    def replicate(self, seed, b: int) -> SufficientStats:
+        """Statistics of replicate ``b``: the draws ``resample`` makes from ``(seed, b)``."""
+        n_judges, n = self.ratings.shape
+        weights = np.bincount(_draw_judges(n_judges, spawn_rng(seed, b)), minlength=n_judges)
+        return SufficientStats(
+            xbar=_freeze((weights @ self.ratings) / n_judges),
+            pair_counts=_freeze((weights @ self.pairs).reshape(n, n)),
+            n_judges=n_judges,
+            max_rating=self.max_rating,
+            log_binom_const=float((weights @ self.levels) @ self.log_binom),
+        )
+
+
+def _fit_replicate(tables, seed, bounds, method, exhaustive_cap, b):
+    refit = fit(tables.replicate(seed, b), bounds, method, exhaustive_cap)
     return refit.p, refit.theta, refit.consensus, refit.theta_clamped
 
 
@@ -103,12 +164,15 @@ def bootstrap_fit(
         raise ValueError(f"workers must be positive, got {workers}")
 
     point = fit(data, bounds, method, exhaustive_cap)
-    jobs = [(data, seed, b, bounds, method, exhaustive_cap) for b in range(n_replicates)]
+    # the tables travel once per chunk of replicates, not once per replicate
+    fit_one = functools.partial(
+        _fit_replicate, _JudgeTables.from_dataset(data), seed, bounds, method, exhaustive_cap
+    )
     if workers == 1:
-        replicates = [_fit_replicate(job) for job in jobs]
+        replicates = [fit_one(b) for b in range(n_replicates)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            replicates = list(pool.map(_fit_replicate, jobs, chunksize=32))
+            replicates = list(pool.map(fit_one, range(n_replicates), chunksize=32))
 
     p_samples = np.array([r[0] for r in replicates])
     theta_samples = np.array([r[1] for r in replicates])

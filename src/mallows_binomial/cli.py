@@ -2,7 +2,9 @@
 
 Every subcommand writes exactly one output document (JSON by default, CSV
 summary on request) that echoes its full resolved configuration, and exits
-with status 0 only when that document was completely written.  Documents
+with status 0 only when that document was completely written.  A document
+goes to a temporary file beside ``--out`` and is renamed into place, so a
+failed write leaves any earlier file at that path untouched.  Documents
 contain no timestamps or machine identifiers: the same invocation always
 produces the same bytes, whatever ``--threads`` says.
 
@@ -12,7 +14,9 @@ Object labels are 1-based in everything the CLI reads or writes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -354,6 +358,24 @@ def _render(payload: dict, fmt: str) -> str:
     return "\n".join(_csv_lines(payload)) + "\n"
 
 
+def _write_atomically(path: str, text: str) -> None:
+    """Write ``text`` to a fresh file beside ``path``, then rename it into place.
+
+    Readers of ``path`` see the old document or the complete new one, never a
+    partial write; on any failure the temporary file is removed.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(temporary, "x") as handle:
+            handle.write(text)
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temporary)
+        raise
+
+
 def run(argv=None) -> int:
     """Parse arguments, run the subcommand, write its document; 0 on success."""
     parser = build_parser()
@@ -367,8 +389,7 @@ def run(argv=None) -> int:
         if args.out == "-":
             sys.stdout.write(text)
         else:
-            with open(args.out, "w") as handle:
-                handle.write(text)
+            _write_atomically(args.out, text)
     except (ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

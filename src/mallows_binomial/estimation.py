@@ -12,16 +12,38 @@ Both profile maximizers are available in closed form:
   ``theta``, so the MLE inverts it at the observed mean distance (clamping to
   the box when the observed mean lies outside the attainable range).
 
-The consensus itself is discrete.  :func:`fit_exhaustive` profiles every
+The consensus itself is discrete.  :func:`fit_exhaustive` scores every
 permutation; :func:`fit_best_first` explores prefixes of the consensus with
 an upper bound on the best completion and provably returns the same optimum,
 usually after profiling a small fraction of the permutations.
+
+The exhaustive search is a screen in three steps.  The profile of a
+candidate is ``I * [R + g(D / I)] + const``, where ``R`` is the rating term
+at the order-constrained qualities, ``D`` the integer count of judge-pair
+disagreements with the candidate, and ``g(d) = max_theta [-theta d - log
+psi(theta)]``, which cannot increase with ``d``.
+
+1. One numpy pass over a lexicographic permutation table, in fixed-size
+   blocks, gives ``R`` (isotonic fit by the min-max formula, box clip,
+   Binomial term) and ``D`` for every candidate.  A candidate is dropped
+   when another beats its ``R`` by more than a slack with a ``D`` no larger:
+   it cannot be the optimum.
+2. ``g`` is evaluated with :func:`theta_mle` once per distinct ``D`` among
+   the survivors.
+3. Only the candidates within the slack of the best screened score get the
+   scalar :func:`profile_loglik`, in lexicographic order with a strict
+   ``>``, which is exactly the loop over all permutations restricted to the
+   only candidates that can win it.  The slack is orders of magnitude above
+   the rounding difference between the screen and the scalar profile, so the
+   winner, the tie-break and every reported number are those of that loop.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,9 +71,10 @@ __all__ = [
     "fit",
 ]
 
-# safety margin for branch-and-bound pruning: bounds are computed with
-# different floating-point operations than full profiles, so pruning must
-# survive rounding noise without ever discarding the true optimum
+# safety margin for pruning, in the best-first search and in the exhaustive
+# screen: bounds and screened scores are computed with different
+# floating-point operations than full profiles, so pruning must survive
+# rounding noise without ever discarding the true optimum
 _PRUNE_SLACK = 1e-7
 
 
@@ -140,9 +163,10 @@ def profile_loglik(
 class FitResult:
     """Joint MLE over all candidate consensus rankings.
 
-    ``candidates_profiled`` counts full consensus rankings whose profile
-    maximum was evaluated; ``nodes_expanded`` counts the prefixes the
-    best-first search took off its queue (zero for the exhaustive method).
+    ``candidates_profiled`` counts the candidates scored (J! for
+    exhaustive, the full rankings profiled for best-first);
+    ``nodes_expanded`` counts the prefixes the best-first search took off its
+    queue (zero for the exhaustive method).
     """
 
     consensus: np.ndarray
@@ -172,30 +196,117 @@ def _result(best: ProfileFit, method: str, candidates: int, nodes: int) -> FitRe
     )
 
 
+# objects ordered within one block of the permutation table: a block holds
+# the 7! = 5040 orderings of the last objects behind one fixed prefix
+_BLOCK_OBJECTS = 7
+
+
+@functools.lru_cache(maxsize=_BLOCK_OBJECTS)
+def _lex_permutations(n: int) -> np.ndarray:
+    """Read-only table of all permutations of ``0..n-1`` in lexicographic order."""
+    table = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    table.flags.writeable = False
+    return table
+
+
+def _permutation_blocks(n: int):
+    """Every permutation of ``0..n-1``, in lexicographic order, in blocks of rows."""
+    tail = min(n, _BLOCK_OBJECTS)
+    base = _lex_permutations(tail)
+    for prefix in itertools.permutations(range(n), n - tail):
+        block = np.empty((base.shape[0], n), dtype=np.intp)
+        block[:, : n - tail] = prefix
+        block[:, n - tail :] = np.setdiff1d(np.arange(n), prefix)[base]
+        yield block
+
+
+def _rating_terms(stats: SufficientStats, perms: np.ndarray, bounds: ParamBounds) -> np.ndarray:
+    """Per-judge rating term at the constrained qualities, for every row of ``perms``.
+
+    The isotonic fit uses the min-max formula for equal weights: the fitted
+    value at rank ``k`` is the largest over ``i <= k`` of the smallest mean
+    of ``y[i..j]`` over ``j >= k``.
+    """
+    xbar = stats.xbar[perms]
+    n = perms.shape[1]
+    cumulative = np.zeros((perms.shape[0], n + 1))
+    np.cumsum(xbar / stats.max_rating, axis=1, out=cumulative[:, 1:])
+    first, last = np.arange(n)[:, None], np.arange(n)[None, :]
+    # interval[b, i, j] = mean of y[i..j]; entries with i > j are never used
+    interval = (cumulative[:, None, 1:] - cumulative[:, :-1, None]) / np.maximum(
+        last - first + 1, 1
+    )
+    suffix_min = np.minimum.accumulate(interval[:, :, ::-1], axis=2)[:, :, ::-1]
+    suffix_min[:, first > last] = -np.inf
+    p = np.clip(suffix_min.max(axis=1), bounds.p_min, bounds.p_max)
+    return np.sum(xbar * np.log(p) + (stats.max_rating - xbar) * np.log1p(-p), axis=1)
+
+
+def _disagreements(stats: SufficientStats, perms: np.ndarray) -> np.ndarray:
+    """Judge-pair disagreement count with every row of ``perms`` (exact integers)."""
+    n = perms.shape[1]
+    ahead, behind = np.triu_indices(n, 1)
+    flat = stats.pair_counts.ravel()
+    return flat[perms[:, behind] * n + perms[:, ahead]].sum(axis=1)
+
+
+def _undominated(rating: np.ndarray, disagreements: np.ndarray) -> np.ndarray:
+    """Mask of the candidates that no other candidate with a ``D`` no larger
+    beats on ``R`` by more than the slack."""
+    order = np.argsort(disagreements, kind="stable")
+    sorted_d = disagreements[order]
+    running = np.maximum.accumulate(rating[order])
+    # candidates with equal D must all see each other
+    ceiling = running[np.searchsorted(sorted_d, sorted_d, side="right") - 1]
+    slack = _PRUNE_SLACK * (1.0 + abs(float(running[-1])))
+    keep = np.empty(rating.size, dtype=bool)
+    keep[order] = rating[order] >= ceiling - slack
+    return keep
+
+
 def fit_exhaustive(
     data, bounds: ParamBounds = DEFAULT_BOUNDS, exhaustive_cap: int = 8
 ) -> FitResult:
-    """Joint MLE by profiling every consensus permutation.
+    """Joint MLE over every consensus permutation.
 
     Ties in the profiled log-likelihood go to the lexicographically smallest
-    consensus.  Refuses to run past ``exhaustive_cap`` objects (the candidate
-    count grows factorially); use :func:`fit_best_first` there instead.
+    consensus.  Every permutation is scored by the screen described in the
+    module docstring; only those within the slack of the best get a full
+    profile, and the result is the one profiling all of them would give.
+    Refuses to run past ``exhaustive_cap`` objects (the candidate count grows
+    factorially); use :func:`fit_best_first` there instead.
     """
     stats = _as_stats(data)
-    if stats.n_objects > exhaustive_cap:
+    n = stats.n_objects
+    if n > exhaustive_cap:
         raise ValueError(
-            f"exhaustive search over {stats.n_objects} objects means "
-            f"{stats.n_objects}! candidates; raise exhaustive_cap or use "
-            "fit_best_first"
+            f"exhaustive search over {n} objects means {n}! candidates; "
+            "raise exhaustive_cap or use fit_best_first"
         )
+    blocks = []
+    for perms in _permutation_blocks(n):
+        rating = _rating_terms(stats, perms, bounds)
+        disagreements = _disagreements(stats, perms)
+        keep = _undominated(rating, disagreements)
+        blocks.append((perms[keep], rating[keep], disagreements[keep]))
+    perms, rating, disagreements = (np.concatenate(parts) for parts in zip(*blocks))
+    keep = _undominated(rating, disagreements)
+    perms, rating, disagreements = perms[keep], rating[keep], disagreements[keep]
+
+    distinct, index = np.unique(disagreements, return_inverse=True)
+    ranking = np.empty(distinct.size)
+    for k, total in enumerate(distinct):
+        dbar = float(total) / stats.n_judges
+        theta, _ = theta_mle(dbar, n, bounds)
+        ranking[k] = -theta * dbar - log_psi(theta, n)
+    score = rating + ranking[index]
+    top = float(score.max())
     best = None
-    count = 0
-    for perm in itertools.permutations(range(stats.n_objects)):
+    for perm in perms[score >= top - _PRUNE_SLACK * (1.0 + abs(top))]:
         candidate = profile_loglik(stats, perm, bounds)
-        count += 1
         if best is None or candidate.loglik > best.loglik:
             best = candidate
-    return _result(best, "exhaustive", count, 0)
+    return _result(best, "exhaustive", math.factorial(n), 0)
 
 
 def _free_rating_bounds(stats: SufficientStats, bounds: ParamBounds) -> np.ndarray:

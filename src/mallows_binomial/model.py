@@ -359,6 +359,12 @@ class Dataset:
         return Dataset(self.ratings[idx], self.rankings[idx], self.max_rating)
 
 
+def _log_binom_levels(max_rating: int) -> np.ndarray:
+    """``log C(M, x)`` for every rating level ``x = 0..M``."""
+    levels = np.arange(max_rating + 1)
+    return gammaln(max_rating + 1) - gammaln(levels + 1) - gammaln(max_rating - levels + 1)
+
+
 @dataclass(frozen=True)
 class SufficientStats:
     """Everything the log-likelihood needs, extracted once per dataset.
@@ -382,19 +388,13 @@ class SufficientStats:
         pair_counts = (positions[:, :, None] < positions[:, None, :]).sum(
             axis=0, dtype=np.int64
         )
-        levels = np.arange(data.max_rating + 1)
-        log_binom = (
-            gammaln(data.max_rating + 1)
-            - gammaln(levels + 1)
-            - gammaln(data.max_rating - levels + 1)
-        )
         counts = np.bincount(data.ratings.ravel(), minlength=data.max_rating + 1)
         return cls(
             xbar=_freeze(data.ratings.mean(axis=0)),
             pair_counts=_freeze(pair_counts),
             n_judges=data.n_judges,
             max_rating=data.max_rating,
-            log_binom_const=float(counts @ log_binom),
+            log_binom_const=float(counts @ _log_binom_levels(data.max_rating)),
         )
 
     @property

@@ -1,9 +1,14 @@
 """Brute-force reference implementations used only by the tests.
 
-Everything here is deliberately naive and independent of the package code:
-pair-by-pair distance counting, exhaustive sums over all J! permutations,
-term-by-term density products, and grid searches.  Slow is fine; these run
-only at small sizes.
+Everything here is deliberately naive and, with one exception, independent of
+the package code: pair-by-pair distance counting, exhaustive sums over all J!
+permutations, term-by-term density products, and grid searches.  Slow is
+fine; these run only at small sizes.
+
+The exception is :func:`fit_exhaustive_loop`, the exhaustive search as one
+scalar profile per permutation.  It calls the package's ``profile_loglik`` on
+purpose: the screened, batched ``fit_exhaustive`` must reproduce it bit for
+bit, not merely within a tolerance.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ import itertools
 import math
 
 import numpy as np
+
+from mallows_binomial import DEFAULT_BOUNDS, SufficientStats, profile_loglik
 
 
 def kendall_naive(a, b) -> int:
@@ -162,3 +169,20 @@ def profile_grid(rankings, ratings, order, max_rating, bounds, stages=3):
         + log_binom_const_direct(ratings, max_rating)
     )
     return p, theta, loglik
+
+
+def fit_exhaustive_loop(data, bounds=DEFAULT_BOUNDS):
+    """Best profile over every permutation, in lexicographic order.
+
+    Ties go to the first permutation reaching the maximum (strict ``>``).
+    Returns the winning ``ProfileFit`` and the number of profiles run.
+    """
+    stats = data if isinstance(data, SufficientStats) else SufficientStats.from_dataset(data)
+    best = None
+    count = 0
+    for perm in itertools.permutations(range(stats.n_objects)):
+        candidate = profile_loglik(stats, perm, bounds)
+        count += 1
+        if best is None or candidate.loglik > best.loglik:
+            best = candidate
+    return best, count

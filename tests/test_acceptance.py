@@ -4,8 +4,8 @@ Each test measures wall time, checks the stated tolerance, and always prints
 a single ``[acceptance k/7] ... PASS/FAIL`` line (bypassing pytest capture)
 so a plain ``pytest tests/test_acceptance.py`` run shows the scorecard.
 The whole file is deterministic: every stochastic check runs from a fixed
-seed.  Expect a few minutes of wall time; the bootstrap coverage study in
-criterion 6 dominates.
+seed.  Expect about two minutes of wall time; the coverage studies in
+criteria 5 and 6 dominate.
 """
 
 from __future__ import annotations

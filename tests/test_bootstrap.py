@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from mallows_binomial import Dataset, Params, sample_dataset, spawn_rng
-from mallows_binomial.bootstrap import bootstrap_fit, percentile_interval, resample
+from mallows_binomial import Dataset, Params, SufficientStats, sample_dataset, spawn_rng
+from mallows_binomial.bootstrap import (
+    _JudgeTables,
+    bootstrap_fit,
+    percentile_interval,
+    resample,
+)
 
 PARAMS = Params(p=[0.15, 0.4, 0.65, 0.9], theta=2.0)
 
@@ -85,6 +90,40 @@ def test_resample_single_judge():
     data = Dataset(ratings=[[1, 3]], rankings=[[0, 1]], max_rating=5)
     boot = resample(data, spawn_rng(0))
     assert np.array_equal(boot.ratings, data.ratings)
+
+
+# ---------------------------------------------------------------------------
+# replicate statistics from judge multiplicities
+
+
+def test_replicate_stats_equal_resampled_dataset_stats():
+    rng = np.random.default_rng(61)
+    panels = [
+        sample_dataset(PARAMS, 40, 5, seed=59),
+        sample_dataset(Params(p=[0.3, 0.5, 0.7], theta=0.4), 17, 1, seed=60),
+        Dataset(ratings=[[1, 3, 2]], rankings=[[0, 2, 1]], max_rating=5),
+        Dataset(
+            ratings=rng.integers(0, 41, size=(33, 6)),
+            rankings=[rng.permutation(6) for _ in range(33)],
+            max_rating=40,
+        ),
+        Dataset(ratings=np.tile([0, 2], (5, 1)), rankings=np.tile([1, 0], (5, 1)), max_rating=2),
+    ]
+    for data in panels:
+        tables = _JudgeTables.from_dataset(data)
+        for seed in (0, 67):
+            for b in range(12):
+                got = tables.replicate(seed, b)
+                want = SufficientStats.from_dataset(resample(data, spawn_rng(seed, b)))
+                assert np.array_equal(got.xbar, want.xbar)
+                assert got.xbar.dtype == want.xbar.dtype
+                assert np.array_equal(got.pair_counts, want.pair_counts)
+                assert got.pair_counts.dtype == want.pair_counts.dtype
+                assert got.n_judges == want.n_judges
+                assert got.max_rating == want.max_rating
+                assert got.log_binom_const == want.log_binom_const
+                assert not got.xbar.flags.writeable
+                assert not got.pair_counts.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """File formats, CLI subcommands, exit codes, and document determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -317,3 +318,32 @@ def test_cli_module_entry_point(tmp_path):
     )
     assert done.returncode == 0
     assert json.loads(done.stdout)["result"]["n_judges"] == 6
+
+
+def test_cli_failed_write_keeps_old_document(tmp_path, monkeypatch, capsys):
+    _, ratings, rankings = write_panel(tmp_path)
+    out = tmp_path / "fit.json"
+    out.write_text("earlier document\n")
+    before = sorted(os.listdir(tmp_path))
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    status = run(["fit", "--ratings", ratings, "--rankings", rankings,
+                  "--M", "5", "--out", str(out)])
+    assert status == 1
+    assert "disk full" in capsys.readouterr().err
+    assert out.read_text() == "earlier document\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_cli_write_replaces_document_and_leaves_no_temporary(tmp_path):
+    _, ratings, rankings = write_panel(tmp_path)
+    out = tmp_path / "fit.json"
+    out.write_text("earlier document\n")
+    before = sorted(os.listdir(tmp_path))
+    assert run(["fit", "--ratings", ratings, "--rankings", rankings,
+                "--M", "5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["result"]["n_judges"] == 25
+    assert sorted(os.listdir(tmp_path)) == before

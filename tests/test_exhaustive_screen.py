@@ -1,0 +1,157 @@
+"""The screened, batched exhaustive search against the scalar loop it replaces.
+
+``fit_exhaustive`` scores every permutation in one numpy pass and profiles
+only the candidates that can win.  The loop that profiles every permutation
+(``oracles.fit_exhaustive_loop``) is the reference: consensus, loglik,
+qualities, concentration and clamp flag must agree bit for bit, not within a
+tolerance, on model panels, arbitrary panels, tie-heavy panels and the
+degenerate panels (one judge, unanimous judges, constant ratings, M = 1).
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from mallows_binomial import Dataset, Params, fit_exhaustive, sample_dataset
+
+from .oracles import fit_exhaustive_loop
+
+# panels per object count for the seeded sweep: the loop costs J! profiles,
+# so large J gets fewer panels
+SWEEP = {2: 36, 3: 48, 4: 48, 5: 42, 6: 30, 7: 8}
+
+
+def mismatch(data) -> str | None:
+    """Description of how the two searches differ on ``data``, or None."""
+    new = fit_exhaustive(data)
+    old, count = fit_exhaustive_loop(data)
+    fields = {
+        "consensus": np.array_equal(new.consensus, old.consensus),
+        "loglik": new.loglik == old.loglik,
+        "p": np.array_equal(new.p, old.p),
+        "theta": new.theta == old.theta,
+        "theta_clamped": new.theta_clamped == old.theta_clamped,
+        "candidates_profiled": new.candidates_profiled == count,
+        "nodes_expanded": new.nodes_expanded == 0,
+    }
+    wrong = [name for name, same in fields.items() if not same]
+    if not wrong:
+        return None
+    return (
+        f"J={data.n_objects} I={data.n_judges} M={data.max_rating}: {wrong} "
+        f"(screened {new.consensus.tolist()} {new.loglik!r}, "
+        f"loop {old.consensus.tolist()} {old.loglik!r})"
+    )
+
+
+def seeded_panel(rng, n_objects: int, kind: int) -> Dataset:
+    n_judges = int(rng.integers(1, 60))
+    max_rating = int(rng.integers(1, 8))
+    if kind == 0:  # model panel, any signal strength
+        truth = Params(
+            p=np.sort(rng.uniform(0.05, 0.95, n_objects)), theta=float(rng.uniform(0.05, 3.0))
+        )
+        return sample_dataset(truth, n_judges, max_rating, seed=int(rng.integers(2**31)))
+    if kind == 1:  # near-null model panel: many candidates score alike
+        truth = Params(p=0.5 + rng.uniform(-0.03, 0.03, n_objects), theta=0.05)
+        return sample_dataset(truth, n_judges, max_rating, seed=int(rng.integers(2**31)))
+    rankings = np.array([rng.permutation(n_objects) for _ in range(n_judges)])
+    if kind == 2:  # arbitrary panel, not drawn from the model
+        ratings = rng.integers(0, max_rating + 1, size=(n_judges, n_objects))
+    else:  # ratings from two levels only: pooled fits tie often
+        ratings = rng.integers(0, 2, size=(n_judges, n_objects)) * max_rating
+    return Dataset(ratings=ratings, rankings=rankings, max_rating=max_rating)
+
+
+def test_seeded_sweep_matches_loop():
+    rng = np.random.default_rng(20261018)
+    problems = []
+    total = 0
+    for n_objects, count in SWEEP.items():
+        for case in range(count):
+            problem = mismatch(seeded_panel(rng, n_objects, case % 4))
+            total += 1
+            if problem:
+                problems.append(problem)
+    assert total >= 200
+    assert not problems, problems
+
+
+def degenerate_panels():
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 4, 5, 6):
+        # one judge
+        yield Dataset(
+            ratings=[rng.integers(0, 6, n)], rankings=[rng.permutation(n)], max_rating=5
+        )
+        # one judge with constant ratings: every candidate's rating term ties
+        yield Dataset(ratings=[[2] * n], rankings=[rng.permutation(n)], max_rating=5)
+        # unanimous judges
+        yield Dataset(
+            ratings=rng.integers(0, 6, (9, n)),
+            rankings=np.tile(rng.permutation(n), (9, 1)),
+            max_rating=5,
+        )
+        # unanimous judges, identical ratings
+        yield Dataset(
+            ratings=np.tile(rng.integers(0, 6, n), (7, 1)),
+            rankings=np.tile(np.arange(n), (7, 1)),
+            max_rating=5,
+        )
+        # constant ratings, arbitrary rankings
+        yield Dataset(
+            ratings=np.full((11, n), 3),
+            rankings=[rng.permutation(n) for _ in range(11)],
+            max_rating=4,
+        )
+        # constant ratings, each ranking paired with its reverse: every
+        # candidate has the same disagreement count, so all J! tie exactly
+        order = rng.permutation(n)
+        yield Dataset(
+            ratings=np.zeros((4, n), dtype=int),
+            rankings=[order, order[::-1], order, order[::-1]],
+            max_rating=3,
+        )
+        # all ratings at the top of the scale: qualities clip to the box
+        yield Dataset(
+            ratings=np.full((5, n), 6),
+            rankings=[rng.permutation(n) for _ in range(5)],
+            max_rating=6,
+        )
+        # M = 1
+        yield Dataset(
+            ratings=rng.integers(0, 2, (13, n)),
+            rankings=[rng.permutation(n) for _ in range(13)],
+            max_rating=1,
+        )
+
+
+def test_degenerate_panels_match_loop():
+    problems = [problem for data in degenerate_panels() if (problem := mismatch(data))]
+    assert not problems, problems
+
+
+def test_eight_objects_match_loop():
+    truth = Params(p=np.linspace(0.45, 0.55, 8), theta=0.2)
+    assert mismatch(sample_dataset(truth, 60, 5, seed=11)) is None
+
+
+def test_one_object_fails_like_the_loop():
+    data = Dataset(ratings=[[1], [2]], rankings=[[0], [0]], max_rating=3)
+    with pytest.raises(ValueError, match="at least 2 objects"):
+        fit_exhaustive_loop(data)
+    with pytest.raises(ValueError, match="at least 2 objects"):
+        fit_exhaustive(data)
+
+
+def test_eight_objects_memory_is_bounded():
+    data = sample_dataset(Params(p=np.linspace(0.1, 0.9, 8), theta=0.3), 200, 5, seed=3)
+    tracemalloc.start()
+    try:
+        result = fit_exhaustive(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.candidates_profiled == 40320
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
