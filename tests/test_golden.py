@@ -4,8 +4,10 @@ Every file under ``tests/golden/`` was written by the command sequence in
 ``CASES``, run in one fresh directory with relative paths so that the
 documents' echoed configuration is machine-independent.  The reference
 files were recorded before the exhaustive search was batched and the
-bootstrap switched to multiplicity-weighted statistics; both changes must
-leave every byte as it was.  Re-record (``PYTHONPATH=src python -m
+bootstrap switched to multiplicity-weighted statistics, and the J = 9
+best-first fits (``--exhaustive-cap 2``, so ``nodes_expanded`` and
+``candidates_profiled`` are locked) before the search bounded a node's
+children in one batch; every such change must leave every byte as it was.  Re-record (``PYTHONPATH=src python -m
 tests.test_golden``) only for a deliberate, documented change of the output
 contract.
 """
@@ -24,6 +26,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 J4 = ["--p", "0.15,0.4,0.65,0.9", "--theta", "2.0", "--M", "5"]
 J6 = ["--p", "0.2,0.3,0.45,0.5,0.7,0.75", "--theta", "0.6", "--M", "4"]
+# near-null: hundreds of best-first nodes, so the search counts are locked too
+J9 = ["--p", "0.46,0.47,0.48,0.49,0.5,0.51,0.52,0.53,0.54", "--theta", "0.1", "--M", "5"]
 
 # (argv, files the command writes); later commands read earlier outputs
 CASES = (
@@ -40,6 +44,12 @@ CASES = (
         ("simulate_j6.json", "j6_ratings.csv", "j6_rankings.csv"),
     ),
     (
+        ["simulate", *J9, "--judges", "60", "--seed", "1",
+         "--ratings", "j9_ratings.csv", "--rankings", "j9_rankings.csv",
+         "--out", "simulate_j9.json"],
+        ("simulate_j9.json", "j9_ratings.csv", "j9_rankings.csv"),
+    ),
+    (
         ["fit", "--ratings", "j4_ratings.csv", "--rankings", "j4_rankings.csv",
          "--M", "5", "--out", "fit_j4.json"],
         ("fit_j4.json",),
@@ -53,6 +63,16 @@ CASES = (
         ["fit", "--ratings", "j6_ratings.csv", "--rankings", "j6_rankings.csv",
          "--M", "4", "--format", "csv", "--out", "fit_j6.csv"],
         ("fit_j6.csv",),
+    ),
+    (
+        ["fit", "--ratings", "j9_ratings.csv", "--rankings", "j9_rankings.csv",
+         "--M", "5", "--exhaustive-cap", "2", "--out", "fit_j9.json"],
+        ("fit_j9.json",),
+    ),
+    (
+        ["fit", "--ratings", "j9_ratings.csv", "--rankings", "j9_rankings.csv",
+         "--M", "5", "--exhaustive-cap", "2", "--format", "csv", "--out", "fit_j9.csv"],
+        ("fit_j9.csv",),
     ),
     (
         ["bootstrap", "--ratings", "j4_ratings.csv", "--rankings", "j4_rankings.csv",
