@@ -36,6 +36,17 @@ psi(theta)]``, which cannot increase with ``d``.
    only candidates that can win it.  The slack is orders of magnitude above
    the rounding difference between the screen and the scalar profile, so the
    winner, the tie-break and every reported number are those of that loop.
+
+The best-first search bounds all children of a prefix in one pass with the
+same decomposition.  ``R`` comes from the screen's kernel applied to the
+children's chains (the prefix plus one object), plus the unconstrained
+rating maxima of the objects each child leaves free.  ``D`` is lowered to an
+exact integer minimum over completions: the pairs a child decides count
+their disagreements, and each undecided pair counts the smaller of its two
+orders.  ``g`` comes from a vectorised solve (a cached grid of the expected
+distance brackets each root, and Newton steps finish it).  Full rankings
+still get the scalar :func:`profile_loglik`, so the search returns the same
+result, node count and profile count as bounding one child at a time.
 """
 
 from __future__ import annotations
@@ -54,6 +65,7 @@ from .model import (
     Dataset,
     ParamBounds,
     SufficientStats,
+    _SERIES_CUTOFF,
     _loglik_from_stats,
     as_ranking,
     expected_distance,
@@ -95,7 +107,11 @@ def constrained_p_mle(xbar, max_rating: int, order, bounds: ParamBounds = DEFAUL
     Returns a vector indexed by object, not by rank.
     """
     xbar = np.asarray(xbar, dtype=float)
-    order = as_ranking(order, xbar.size)
+    return _constrained_p(xbar, max_rating, as_ranking(order, xbar.size), bounds)
+
+
+def _constrained_p(xbar: np.ndarray, max_rating: int, order: np.ndarray, bounds: ParamBounds):
+    """:func:`constrained_p_mle` for a float ``xbar`` and a validated ranking."""
     means = xbar / max_rating
     fitted = isotonic_regression(means[order], increasing=True).x
     p = np.empty(xbar.size)
@@ -151,9 +167,10 @@ def profile_loglik(
     """
     stats = _as_stats(data)
     consensus = as_ranking(consensus, stats.n_objects)
-    p = constrained_p_mle(stats.xbar, stats.max_rating, consensus, bounds)
-    theta, clamped = theta_mle(stats.mean_distance(consensus), stats.n_objects, bounds)
-    loglik = _loglik_from_stats(stats, p, theta, consensus)
+    p = _constrained_p(stats.xbar, stats.max_rating, consensus, bounds)
+    dbar = stats._distance_to(consensus)
+    theta, clamped = theta_mle(dbar, stats.n_objects, bounds)
+    loglik = _loglik_from_stats(stats, p, theta, dbar)
     return ProfileFit(
         consensus=consensus, p=p, theta=theta, theta_clamped=clamped, loglik=loglik
     )
@@ -315,49 +332,127 @@ def _free_rating_bounds(stats: SufficientStats, bounds: ParamBounds) -> np.ndarr
     return stats.xbar * np.log(means) + (stats.max_rating - stats.xbar) * np.log1p(-means)
 
 
-def _prefix_bound(
+def _distance_moments(theta: np.ndarray, n_objects: int):
+    """Mean and variance of the Kendall distance, and ``log psi``, per entry of ``theta``.
+
+    Vectorised :func:`expected_distance`, :func:`distance_variance` and
+    :func:`log_psi`, with the same series branch below ``theta * n`` of
+    ``_SERIES_CUTOFF``.
+    """
+    j = np.arange(1.0, n_objects + 1.0)
+    scaled = theta[:, None] * j
+    head = -np.expm1(-scaled)
+    ratio = np.exp(-scaled) / head
+    mean = n_objects * ratio[:, 0] - ratio @ j
+    variance = n_objects * ratio[:, 0] / head[:, 0] - (ratio / head) @ (j * j)
+    series = theta * n_objects < _SERIES_CUTOFF
+    if series.any():
+        t = theta[series]
+        mean[series] = (
+            np.sum(j - 1) / 2 - np.sum(j**2 - 1) / 12 * t + np.sum(j**4 - 1) / 720 * t**3
+        )
+        variance[series] = (
+            np.sum(j**2 - 1) / 12
+            - np.sum(j**4 - 1) / 240 * t**2
+            + np.sum(j**6 - 1) / 6048 * t**4
+        )
+    log_norm = np.log(head).sum(axis=1) - n_objects * np.log(head[:, 0])
+    return mean, variance, log_norm
+
+
+# points of the log-spaced theta grid on which the expected distance is
+# tabulated once per object count and box: neighbouring points are 3.5 %
+# apart at the default box, close enough that Newton from the interpolated
+# root usually needs one or two steps; more points buy nothing but memory
+_THETA_GRID = 512
+# Newton stops once every step is below this share of (1 + theta); ``g`` is
+# flat at the root, so stopping there costs about variance * step**2 / 2
+_THETA_NEWTON_TOL = 1e-9
+_THETA_NEWTON_MAX = 50
+
+
+@functools.lru_cache(maxsize=64)
+def _expected_distance_grid(n_objects: int, bounds: ParamBounds):
+    """Log-spaced theta grid over the box and the expected distance on it."""
+    theta = np.geomspace(bounds.theta_min, bounds.theta_max, _THETA_GRID)
+    # in chunks, so the (points x objects) temporaries stay small
+    mean = np.concatenate(
+        [_distance_moments(chunk, n_objects)[0] for chunk in np.split(theta, 4)]
+    )
+    theta.flags.writeable = mean.flags.writeable = False
+    return theta, mean
+
+
+def _concentration_terms(dbar: np.ndarray, n_objects: int, bounds: ParamBounds) -> np.ndarray:
+    """``g(d) = max -theta d - log psi(theta)`` over the theta box, per entry of ``dbar``.
+
+    The vectorised counterpart of :func:`theta_mle` followed by the ranking
+    term.  ``dbar`` at or beyond the expected distance at a box edge clamps
+    to that edge.  Otherwise the tabulated expected distance brackets the
+    root of ``E(theta) = dbar`` between two grid points, interpolation
+    starts inside the bracket, and Newton steps with ``E' = -variance``
+    finish it without leaving the bracket.
+    """
+    grid, grid_mean = _expected_distance_grid(n_objects, bounds)
+    interior = (dbar > grid_mean[-1]) & (dbar < grid_mean[0])
+    terms = np.empty(dbar.shape)
+    if interior.any():
+        target = dbar[interior]
+        # E decreases along the grid: grid_mean[upper - 1] > target >= grid_mean[upper]
+        upper = np.searchsorted(-grid_mean, -target, side="left")
+        lo, hi = grid[upper - 1], grid[upper]
+        root = np.interp(-target, -grid_mean, grid)
+        for _ in range(_THETA_NEWTON_MAX):
+            mean, variance, log_norm = _distance_moments(root, n_objects)
+            step = (mean - target) / variance
+            if np.all(np.abs(step) <= _THETA_NEWTON_TOL * (1.0 + root)):
+                break
+            root = np.clip(root + step, lo, hi)
+        terms[interior] = -root * target - log_norm
+    edge = ~interior
+    if edge.any():
+        theta = np.where(dbar[edge] <= grid_mean[-1], bounds.theta_max, bounds.theta_min)
+        terms[edge] = -theta * dbar[edge] - _distance_moments(theta, n_objects)[2]
+    return terms
+
+
+def _child_bounds(
     stats: SufficientStats,
     prefix: tuple[int, ...],
     free: np.ndarray,
     free_rating: np.ndarray,
     bounds: ParamBounds,
-) -> float:
-    """Upper bound on the profile log-likelihood over completions of ``prefix``.
+) -> np.ndarray:
+    """Upper bound on the profile log-likelihood over the completions of
+    every child ``prefix + (c,)``, for ``c`` in ``free`` (same order).
 
-    Relaxations: free objects drop their order constraints entirely
-    (keeping only the box), and the mean distance is lowered to its minimum
-    over completions, with the concentration then chosen optimally for that
-    minimum.  Every relaxation only raises the value, so no completion can
-    beat the bound.
+    Relaxations: objects left free after the child drop their order
+    constraints entirely (keeping only the box), and the mean distance is
+    lowered to its minimum over completions, with the concentration then
+    chosen optimally for that minimum.  Every relaxation only raises the
+    value, so no completion can beat its child's bound.
     """
     prefix_arr = np.asarray(prefix, dtype=np.intp)
-    # rating term: exact order-constrained maximum on the prefix chain,
-    # unconstrained per-object maxima for the rest
-    rating = float(np.sum(free_rating[free]))
-    if prefix_arr.size:
-        chain = isotonic_regression(
-            stats.xbar[prefix_arr] / stats.max_rating, increasing=True
-        ).x
-        chain = np.clip(chain, bounds.p_min, bounds.p_max)
-        rating += float(
-            stats.xbar[prefix_arr] @ np.log(chain)
-            + (stats.max_rating - stats.xbar[prefix_arr]) @ np.log1p(-chain)
-        )
-    # ranking term: decided pairs contribute their actual disagreement
-    # counts, undecided pairs the smaller of the two
-    n = stats.n_objects
+    chains = np.empty((free.size, prefix_arr.size + 1), dtype=np.intp)
+    chains[:, :-1] = prefix_arr
+    chains[:, -1] = free
+    # rating term: exact order-constrained maximum along each child's chain,
+    # unconstrained per-object maxima for the objects it leaves free
+    rest = free_rating[free]
+    rating = _rating_terms(stats, chains, bounds) + (rest.sum() - rest)
+    # ranking term (exact integers): pairs touching the prefix are decided
+    # for every child; each child decides its pairs with the other free
+    # objects; the pairs the child leaves undecided count the smaller order
     counts = stats.pair_counts
-    disagreements = 0
-    for i, u in enumerate(prefix):
-        for v in prefix[i + 1 :]:
-            disagreements += counts[v, u]
-        disagreements += counts[free, u].sum()
+    decided = (
+        np.tril(counts[np.ix_(prefix_arr, prefix_arr)], -1).sum()
+        + counts[np.ix_(free, prefix_arr)].sum()
+    )
     sub = counts[np.ix_(free, free)]
-    disagreements += np.minimum(sub, sub.T)[np.triu_indices(free.size, 1)].sum()
-    dbar_min = float(disagreements) / stats.n_judges
-    theta, _ = theta_mle(dbar_min, n, bounds)
-    rank = -theta * dbar_min - log_psi(theta, n)
-    return stats.n_judges * (rank + rating) + stats.log_binom_const
+    smaller = np.minimum(sub, sub.T).sum(axis=1)
+    disagreements = decided + sub.sum(axis=0) + smaller.sum() // 2 - smaller
+    ranking = _concentration_terms(disagreements / stats.n_judges, stats.n_objects, bounds)
+    return stats.n_judges * (ranking + rating) + stats.log_binom_const
 
 
 def fit_best_first(data, bounds: ParamBounds = DEFAULT_BOUNDS) -> FitResult:
@@ -365,10 +460,13 @@ def fit_best_first(data, bounds: ParamBounds = DEFAULT_BOUNDS) -> FitResult:
 
     Maintains a queue of consensus prefixes ordered by an upper bound on the
     log-likelihood of any completion, expands the most promising prefix, and
-    profiles full rankings as they appear.  Pruning keeps a small slack under
-    the incumbent so floating-point noise in the bound can never discard an
-    optimal branch, and exact ties go to the lexicographically smallest
-    consensus.  Returns the same optimum as :func:`fit_exhaustive`.
+    profiles full rankings as they appear.  Expanding a prefix bounds all of
+    its children in one batch (:func:`_child_bounds`, see the module
+    docstring); a prefix with two free objects left profiles both
+    completions instead.  Pruning keeps a small slack under the incumbent so
+    floating-point noise in the bound can never discard an optimal branch,
+    and exact ties go to the lexicographically smallest consensus.  Returns
+    the same optimum as :func:`fit_exhaustive`.
     """
     stats = _as_stats(data)
     n = stats.n_objects
@@ -395,15 +493,15 @@ def fit_best_first(data, bounds: ParamBounds = DEFAULT_BOUNDS) -> FitResult:
     def expand(prefix: tuple[int, ...], free: np.ndarray):
         nonlocal nodes
         nodes += 1
-        for obj in free:
-            child = prefix + (int(obj),)
-            rest = free[free != obj]
-            if len(child) >= n - 1:
-                consider(child + tuple(int(r) for r in rest))
-            else:
-                bound = _prefix_bound(stats, child, rest, free_rating, bounds)
-                if best is None or bound >= best.loglik - slack():
-                    heapq.heappush(queue, (-bound, child))
+        if free.size <= 2:
+            for obj in free.tolist():
+                consider(prefix + (obj,) + tuple(free[free != obj].tolist()))
+            return
+        child_bounds = _child_bounds(stats, prefix, free, free_rating, bounds)
+        floor = -math.inf if best is None else best.loglik - slack()
+        for obj, bound in zip(free.tolist(), child_bounds.tolist()):
+            if bound >= floor:
+                heapq.heappush(queue, (-bound, prefix + (obj,)))
 
     expand((), np.arange(n, dtype=np.intp))
     while queue:

@@ -63,7 +63,7 @@ def as_ranking(ranking, n_objects: int | None = None) -> np.ndarray:
         raise ValueError(f"ranking has {n} entries, expected {n_objects}")
     if not np.array_equal(np.sort(order), np.arange(n)):
         raise ValueError(f"ranking {order.tolist()} is not a permutation of 0..{n - 1}")
-    return order
+    return _freeze(order)
 
 
 def _merge_count(left: list, right: list) -> tuple[list, int]:
@@ -403,15 +403,19 @@ class SufficientStats:
 
     def mean_distance(self, consensus) -> float:
         """Mean Kendall distance from the judges' rankings to ``consensus``."""
-        order = as_ranking(consensus, self.n_objects)
+        return self._distance_to(as_ranking(consensus, self.n_objects))
+
+    def _distance_to(self, order: np.ndarray) -> float:
+        """:meth:`mean_distance` for an already validated ranking."""
         sub = self.pair_counts[np.ix_(order, order)]
         # entry (j, i) below the diagonal counts judges that disagree with
         # consensus on the pair (order[i], order[j])
         return float(np.tril(sub, -1).sum()) / self.n_judges
 
 
-def _loglik_from_stats(stats: SufficientStats, p, theta: float, consensus) -> float:
-    dbar = stats.mean_distance(consensus)
+def _loglik_from_stats(stats: SufficientStats, p, theta: float, dbar: float) -> float:
+    """Joint log-likelihood from the statistics and the mean distance ``dbar``
+    to the consensus."""
     rank_part = -theta * dbar - log_psi(theta, stats.n_objects)
     rating_part = float(
         stats.xbar @ np.log(p) + (stats.max_rating - stats.xbar) @ np.log1p(-p)
@@ -437,4 +441,4 @@ def log_likelihood(data, params: Params, consensus=None) -> float:
         )
     if consensus is None:
         consensus = order_of(params.p)
-    return _loglik_from_stats(stats, params.p, params.theta, consensus)
+    return _loglik_from_stats(stats, params.p, params.theta, stats.mean_distance(consensus))

@@ -5,20 +5,31 @@ the package code: pair-by-pair distance counting, exhaustive sums over all J!
 permutations, term-by-term density products, and grid searches.  Slow is
 fine; these run only at small sizes.
 
-The exception is :func:`fit_exhaustive_loop`, the exhaustive search as one
-scalar profile per permutation.  It calls the package's ``profile_loglik`` on
-purpose: the screened, batched ``fit_exhaustive`` must reproduce it bit for
-bit, not merely within a tolerance.
+The exceptions are the two searches as scalar loops:
+:func:`fit_exhaustive_loop` runs one profile per permutation, and
+:func:`fit_best_first_loop` bounds one child prefix at a time.  Both call the
+package's ``profile_loglik`` on purpose: the screened exhaustive search and
+the batched best-first search must reproduce them bit for bit, not merely
+within a tolerance.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
 import numpy as np
+from scipy.optimize import isotonic_regression
 
-from mallows_binomial import DEFAULT_BOUNDS, SufficientStats, profile_loglik
+from mallows_binomial import (
+    DEFAULT_BOUNDS,
+    SufficientStats,
+    log_psi,
+    profile_loglik,
+    theta_mle,
+)
+from mallows_binomial.estimation import _PRUNE_SLACK, _free_rating_bounds
 
 
 def kendall_naive(a, b) -> int:
@@ -186,3 +197,96 @@ def fit_exhaustive_loop(data, bounds=DEFAULT_BOUNDS):
         if best is None or candidate.loglik > best.loglik:
             best = candidate
     return best, count
+
+
+def prefix_bound(stats, prefix, free, free_rating, bounds) -> float:
+    """Upper bound on the profile log-likelihood over completions of ``prefix``.
+
+    Relaxations: free objects drop their order constraints entirely
+    (keeping only the box), and the mean distance is lowered to its minimum
+    over completions, with the concentration then chosen optimally for that
+    minimum.  Every relaxation only raises the value, so no completion can
+    beat the bound.
+    """
+    prefix_arr = np.asarray(prefix, dtype=np.intp)
+    # rating term: exact order-constrained maximum on the prefix chain,
+    # unconstrained per-object maxima for the rest
+    rating = float(np.sum(free_rating[free]))
+    if prefix_arr.size:
+        chain = isotonic_regression(
+            stats.xbar[prefix_arr] / stats.max_rating, increasing=True
+        ).x
+        chain = np.clip(chain, bounds.p_min, bounds.p_max)
+        rating += float(
+            stats.xbar[prefix_arr] @ np.log(chain)
+            + (stats.max_rating - stats.xbar[prefix_arr]) @ np.log1p(-chain)
+        )
+    # ranking term: decided pairs contribute their actual disagreement
+    # counts, undecided pairs the smaller of the two
+    n = stats.n_objects
+    counts = stats.pair_counts
+    disagreements = 0
+    for i, u in enumerate(prefix):
+        for v in prefix[i + 1 :]:
+            disagreements += counts[v, u]
+        disagreements += counts[free, u].sum()
+    sub = counts[np.ix_(free, free)]
+    disagreements += np.minimum(sub, sub.T)[np.triu_indices(free.size, 1)].sum()
+    dbar_min = float(disagreements) / stats.n_judges
+    theta, _ = theta_mle(dbar_min, n, bounds)
+    rank = -theta * dbar_min - log_psi(theta, n)
+    return stats.n_judges * (rank + rating) + stats.log_binom_const
+
+
+def fit_best_first_loop(data, bounds=DEFAULT_BOUNDS):
+    """Best-first search that bounds one child prefix at a time.
+
+    Same queue, pruning slack and tie rule as the package's search (exact
+    ties go to the lexicographically smallest consensus).  Returns the
+    winning ``ProfileFit``, the number of full rankings profiled and the
+    number of prefixes expanded.
+    """
+    stats = data if isinstance(data, SufficientStats) else SufficientStats.from_dataset(data)
+    n = stats.n_objects
+    free_rating = _free_rating_bounds(stats, bounds)
+    queue = []
+    best = None
+    candidates = 0
+    nodes = 0
+
+    def slack():
+        return _PRUNE_SLACK * (1.0 + abs(best.loglik))
+
+    def consider(perm):
+        nonlocal best, candidates
+        candidate = profile_loglik(stats, perm, bounds)
+        candidates += 1
+        if (
+            best is None
+            or candidate.loglik > best.loglik
+            or (candidate.loglik == best.loglik and perm < tuple(best.consensus))
+        ):
+            best = candidate
+
+    def expand(prefix, free):
+        nonlocal nodes
+        nodes += 1
+        for obj in free:
+            child = prefix + (int(obj),)
+            rest = free[free != obj]
+            if len(child) >= n - 1:
+                consider(child + tuple(int(r) for r in rest))
+            else:
+                bound = prefix_bound(stats, child, rest, free_rating, bounds)
+                if best is None or bound >= best.loglik - slack():
+                    heapq.heappush(queue, (-bound, child))
+
+    expand((), np.arange(n, dtype=np.intp))
+    while queue:
+        neg_bound, prefix = heapq.heappop(queue)
+        if best is not None and -neg_bound < best.loglik - slack():
+            break
+        prefix_set = set(prefix)
+        free = np.array([o for o in range(n) if o not in prefix_set], dtype=np.intp)
+        expand(prefix, free)
+    return best, candidates, nodes
