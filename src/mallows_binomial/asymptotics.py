@@ -21,7 +21,7 @@ individual replications can be re-run in isolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -96,31 +96,8 @@ class CoverageReport:
     theta_clamp_rate: float | None = None
 
     def to_dict(self) -> dict:
-        """JSON-ready dictionary (plain lists and scalars only)."""
-        return {
-            "kind": self.kind,
-            "p_true": list(self.p_true),
-            "theta_true": self.theta_true,
-            "n_objects": self.n_objects,
-            "n_judges": self.n_judges,
-            "max_rating": self.max_rating,
-            "n_replications": self.n_replications,
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "consensus_recovery_rate": self.consensus_recovery_rate,
-            "p_coverage": list(self.p_coverage),
-            "theta_coverage": self.theta_coverage,
-            "n_bootstrap": self.n_bootstrap,
-            "p_z_mean": None if self.p_z_mean is None else list(self.p_z_mean),
-            "p_z_sd": None if self.p_z_sd is None else list(self.p_z_sd),
-            "theta_z_mean": self.theta_z_mean,
-            "theta_z_sd": self.theta_z_sd,
-            "p_interval_width": (
-                None if self.p_interval_width is None else list(self.p_interval_width)
-            ),
-            "theta_interval_width": self.theta_interval_width,
-            "theta_clamp_rate": self.theta_clamp_rate,
-        }
+        """JSON-ready dictionary of every field (tuples serialize as arrays)."""
+        return asdict(self)
 
 
 def _check_study_args(n_replications: int, alpha: float) -> tuple[int, float]:
@@ -141,7 +118,6 @@ def lan_check(
     alpha: float = 0.05,
     seed=0,
     bounds: ParamBounds = DEFAULT_BOUNDS,
-    method: str = "auto",
     exhaustive_cap: int = 8,
 ) -> CoverageReport:
     """Standardized-error coverage of the MLE at known true parameters.
@@ -161,7 +137,7 @@ def lan_check(
     recovered = np.empty(n_replications, dtype=bool)
     for r in range(n_replications):
         data = sample_dataset(params, n_judges, max_rating, derive_seed(seed, r, 0))
-        result = fit(data, bounds, method, exhaustive_cap)
+        result = fit(data, bounds, exhaustive_cap=exhaustive_cap)
         p_z[r] = (result.p - params.p) / se.p
         theta_z[r] = (result.theta - params.theta) / se.theta
         recovered[r] = np.array_equal(result.consensus, truth)
@@ -194,7 +170,6 @@ def coverage_study(
     alpha: float = 0.10,
     seed=0,
     bounds: ParamBounds = DEFAULT_BOUNDS,
-    method: str = "auto",
     exhaustive_cap: int = 8,
     workers: int = 1,
 ) -> CoverageReport:
@@ -221,7 +196,6 @@ def coverage_study(
             alpha=alpha,
             seed=derive_seed(seed, r, 1),
             bounds=bounds,
-            method=method,
             exhaustive_cap=exhaustive_cap,
             workers=workers,
         )

@@ -133,8 +133,8 @@ class _JudgeTables:
         )
 
 
-def _fit_replicate(tables, seed, bounds, method, exhaustive_cap, b):
-    refit = fit(tables.replicate(seed, b), bounds, method, exhaustive_cap)
+def _fit_replicate(tables, seed, bounds, exhaustive_cap, b):
+    refit = fit(tables.replicate(seed, b), bounds, exhaustive_cap=exhaustive_cap)
     return refit.p, refit.theta, refit.consensus, refit.theta_clamped
 
 
@@ -144,7 +144,6 @@ def bootstrap_fit(
     alpha: float = 0.10,
     seed=0,
     bounds: ParamBounds = DEFAULT_BOUNDS,
-    method: str = "auto",
     exhaustive_cap: int = 8,
     workers: int = 1,
 ) -> BootstrapResult:
@@ -163,10 +162,10 @@ def bootstrap_fit(
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
 
-    point = fit(data, bounds, method, exhaustive_cap)
+    point = fit(data, bounds, exhaustive_cap=exhaustive_cap)
     # the tables travel once per chunk of replicates, not once per replicate
     fit_one = functools.partial(
-        _fit_replicate, _JudgeTables.from_dataset(data), seed, bounds, method, exhaustive_cap
+        _fit_replicate, _JudgeTables.from_dataset(data), seed, bounds, exhaustive_cap
     )
     if workers == 1:
         replicates = [fit_one(b) for b in range(n_replicates)]

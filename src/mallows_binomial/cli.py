@@ -1,12 +1,13 @@
 """Command-line front end: fit, simulate, bootstrap, and coverage studies.
 
 Every subcommand writes exactly one output document (JSON by default, CSV
-summary on request) that echoes its full resolved configuration, and exits
-with status 0 only when that document was completely written.  A document
-goes to a temporary file beside ``--out`` and is renamed into place, so a
-failed write leaves any earlier file at that path untouched.  Documents
-contain no timestamps or machine identifiers: the same invocation always
-produces the same bytes, whatever ``--threads`` says.
+summary on request) that echoes every parsed argument but ``--threads``, and
+exits with status 0 only when that document was completely written.  A
+document, like each CSV file of ``simulate``, goes to a temporary file beside
+its path and is renamed into place, so a failed write leaves any earlier file
+at that path untouched.  Documents contain no timestamps or machine
+identifiers: the same invocation always produces the same bytes, whatever
+``--threads`` says.
 
 Object labels are 1-based in everything the CLI reads or writes.
 """
@@ -14,9 +15,7 @@ Object labels are 1-based in everything the CLI reads or writes.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
-import os
 import sys
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from .asymptotics import coverage_study, lan_check
 from .bootstrap import BootstrapResult, bootstrap_fit
 from .estimation import FitResult, fit
-from .io import read_dataset, write_ratings, write_rankings
+from .io import _write_atomically, read_dataset, write_ratings, write_rankings
 from .model import DEFAULT_BOUNDS, ParamBounds, Params
 from .sampling import sample_dataset
 
@@ -182,25 +181,25 @@ def _bootstrap_document(boot: BootstrapResult) -> dict:
     }
 
 
-def _common_config(args, keys: tuple[str, ...]) -> dict:
-    config = {"subcommand": args.subcommand, "out": args.out, "format": args.format}
-    for key in keys:
-        value = getattr(args, key.replace("-", "_"))
-        config[key] = list(value) if isinstance(value, tuple) else value
-    return config
+def _common_config(args) -> dict:
+    """Every parsed argument, keyed by its flag name, tuples as lists."""
+    # --threads is deliberately absent from the echo: it cannot affect the
+    # result, and documents must be byte-identical across worker counts
+    return {
+        key.replace("_", "-"): list(value) if isinstance(value, tuple) else value
+        for key, value in vars(args).items()
+        if key != "threads"
+    }
 
 
 def _cmd_fit(args) -> dict:
     data = read_dataset(args.ratings, args.rankings, args.M)
     result = fit(data, _bounds_of(args), exhaustive_cap=args.exhaustive_cap)
-    config = _common_config(
-        args, ("ratings", "rankings", "M", "p-bounds", "theta-bounds", "exhaustive-cap")
-    )
     document = _fit_document(result)
     document.update(
         n_judges=data.n_judges, n_objects=data.n_objects, max_rating=data.max_rating
     )
-    return {"config": config, "result": document}
+    return document
 
 
 def _cmd_simulate(args) -> dict:
@@ -208,19 +207,13 @@ def _cmd_simulate(args) -> dict:
     data = sample_dataset(params, args.judges, args.M, args.seed)
     write_ratings(args.ratings, data.ratings)
     write_rankings(args.rankings, data.rankings)
-    config = _common_config(
-        args, ("p", "theta", "judges", "M", "seed", "ratings", "rankings")
-    )
     return {
-        "config": config,
-        "result": {
-            "ratings_path": args.ratings,
-            "rankings_path": args.rankings,
-            "n_judges": data.n_judges,
-            "n_objects": data.n_objects,
-            "max_rating": data.max_rating,
-            "consensus": [int(obj) + 1 for obj in params.consensus()],
-        },
+        "ratings_path": args.ratings,
+        "rankings_path": args.rankings,
+        "n_judges": data.n_judges,
+        "n_objects": data.n_objects,
+        "max_rating": data.max_rating,
+        "consensus": [int(obj) + 1 for obj in params.consensus()],
     }
 
 
@@ -235,16 +228,7 @@ def _cmd_bootstrap(args) -> dict:
         exhaustive_cap=args.exhaustive_cap,
         workers=args.threads,
     )
-    # --threads is deliberately absent from the echo: it cannot affect the
-    # result, and documents must be byte-identical across worker counts
-    config = _common_config(
-        args,
-        (
-            "ratings", "rankings", "M", "B", "alpha", "seed",
-            "p-bounds", "theta-bounds", "exhaustive-cap",
-        ),
-    )
-    return {"config": config, "result": _bootstrap_document(boot)}
+    return _bootstrap_document(boot)
 
 
 def _cmd_lan_check(args) -> dict:
@@ -258,14 +242,7 @@ def _cmd_lan_check(args) -> dict:
         bounds=_bounds_of(args),
         exhaustive_cap=args.exhaustive_cap,
     )
-    config = _common_config(
-        args,
-        (
-            "p", "theta", "judges", "M", "R", "alpha", "seed",
-            "p-bounds", "theta-bounds", "exhaustive-cap",
-        ),
-    )
-    return {"config": config, "result": report.to_dict()}
+    return report.to_dict()
 
 
 def _cmd_coverage(args) -> dict:
@@ -281,14 +258,7 @@ def _cmd_coverage(args) -> dict:
         exhaustive_cap=args.exhaustive_cap,
         workers=args.threads,
     )
-    config = _common_config(
-        args,
-        (
-            "p", "theta", "judges", "M", "R", "B", "alpha", "seed",
-            "p-bounds", "theta-bounds", "exhaustive-cap",
-        ),
-    )
-    return {"config": config, "result": report.to_dict()}
+    return report.to_dict()
 
 
 _HANDLERS = {
@@ -358,24 +328,6 @@ def _render(payload: dict, fmt: str) -> str:
     return "\n".join(_csv_lines(payload)) + "\n"
 
 
-def _write_atomically(path: str, text: str) -> None:
-    """Write ``text`` to a fresh file beside ``path``, then rename it into place.
-
-    Readers of ``path`` see the old document or the complete new one, never a
-    partial write; on any failure the temporary file is removed.
-    """
-    directory, name = os.path.split(os.path.abspath(path))
-    temporary = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    try:
-        with open(temporary, "x") as handle:
-            handle.write(text)
-        os.replace(temporary, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(temporary)
-        raise
-
-
 def run(argv=None) -> int:
     """Parse arguments, run the subcommand, write its document; 0 on success."""
     parser = build_parser()
@@ -384,7 +336,7 @@ def run(argv=None) -> int:
     except SystemExit as exit_status:
         return int(exit_status.code or 0)
     try:
-        payload = _HANDLERS[args.subcommand](args)
+        payload = {"config": _common_config(args), "result": _HANDLERS[args.subcommand](args)}
         text = _render(payload, args.format)
         if args.out == "-":
             sys.stdout.write(text)

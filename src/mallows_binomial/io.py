@@ -4,12 +4,17 @@ A panel is two files: a ratings file with header ``obj_1..obj_J`` and one
 integer row per judge, and a header-less rankings file with one row per
 judge listing object labels most preferred first.  Object labels are
 1-based in files and 0-based in memory; the conversion lives entirely in
-this module.  Parse errors name the offending file and line.
+this module.  Parse errors name the offending file and line.  Every file is
+written to a temporary file beside its path and renamed into place, so a
+failed write never leaves a half-written file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
+import os
 
 import numpy as np
 
@@ -112,18 +117,39 @@ def read_dataset(ratings_path, rankings_path, max_rating: int) -> Dataset:
     return Dataset(ratings=ratings, rankings=rankings, max_rating=max_rating)
 
 
+def _write_atomically(path, text: str) -> None:
+    """Write ``text`` to a fresh file beside ``path``, then rename it into place.
+
+    Readers of ``path`` see the old file or the complete new one, never a
+    partial write; on any failure the temporary file is removed.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(temporary, "x", newline="") as handle:
+            handle.write(text)
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temporary)
+        raise
+
+
+def _write_csv(path, rows, header=None) -> None:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    if header is not None:
+        writer.writerow(header)
+    writer.writerows(rows)
+    _write_atomically(path, buffer.getvalue())
+
+
 def write_ratings(path, ratings) -> None:
     """Write a ratings matrix with the ``obj_1..obj_J`` header."""
     ratings = np.asarray(ratings)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([f"obj_{j}" for j in range(1, ratings.shape[1] + 1)])
-        writer.writerows(ratings.tolist())
+    _write_csv(path, ratings.tolist(), [f"obj_{j}" for j in range(1, ratings.shape[1] + 1)])
 
 
 def write_rankings(path, rankings) -> None:
     """Write 0-based ranking rows as 1-based labels, no header."""
-    rankings = np.asarray(rankings)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerows((rankings + 1).tolist())
+    _write_csv(path, (np.asarray(rankings) + 1).tolist())

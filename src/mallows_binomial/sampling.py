@@ -6,7 +6,10 @@ current list with probability proportional to ``exp(-theta * v)``.  Each
 ``v`` adds exactly ``v`` discordant pairs against the consensus, the
 displacements are independent, and their normalizers multiply to the model
 normalizer, so the draw is exact for every ``theta`` (no burn-in, no
-rejection).
+rejection).  One vectorised routine does the insertion for both
+:func:`sample_mallows` and :func:`sample_dataset`: it turns a matrix of
+uniforms, one column per step, into rankings, advancing every row through
+each step at once.
 
 Randomness is organized as a tree: :func:`spawn_rng` and :func:`derive_seed`
 map a root seed plus an integer path to independent streams.
@@ -63,16 +66,26 @@ def derive_seed(seed, *path) -> int:
     return int(state[0])
 
 
-def _insertion_cdfs(theta: float, n_objects: int) -> list[np.ndarray]:
-    """Displacement CDFs for insertion steps 1..n-1."""
-    cdfs = []
-    for m in range(1, n_objects):
-        weights = np.exp(-theta * np.arange(m + 1))
-        cdf = np.cumsum(weights)
+def _insertion_rankings(center: np.ndarray, theta: float, uniforms: np.ndarray) -> np.ndarray:
+    """Rankings built by repeated insertion, one row per row of ``uniforms``.
+
+    ``uniforms`` is ``(rows, J - 1)``: column ``m - 1`` picks how far above the
+    bottom of the growing list ``center[m]`` is inserted.  Every row is
+    advanced through step ``m`` at once: the objects at or below the new slot
+    move down one place, then ``center`` is scattered to its final positions.
+    """
+    rows, n = uniforms.shape[0], center.size
+    positions = np.zeros((rows, n), dtype=np.intp)
+    for m in range(1, n):
+        cdf = np.cumsum(np.exp(-theta * np.arange(m + 1)))
         cdf /= cdf[-1]
         cdf[-1] = 1.0
-        cdfs.append(cdf)
-    return cdfs
+        slot = m - np.searchsorted(cdf, uniforms[:, m - 1], side="right")
+        positions[:, :m] += positions[:, :m] >= slot[:, None]
+        positions[:, m] = slot
+    rankings = np.empty((rows, n), dtype=np.intp)
+    np.put_along_axis(rankings, positions, center, axis=1)
+    return rankings
 
 
 def sample_mallows(consensus, theta, n_samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -86,20 +99,9 @@ def sample_mallows(consensus, theta, n_samples: int, rng: np.random.Generator) -
     n_samples = int(n_samples)
     if n_samples < 0:
         raise ValueError(f"n_samples must be non-negative, got {n_samples}")
-    n = consensus.size
-    # displacement of object m from the bottom of the growing list;
-    # drawing step by step keeps stream consumption independent of outcomes
-    displacements = np.empty((n_samples, n), dtype=np.intp)
-    displacements[:, 0] = 0
-    for m, cdf in enumerate(_insertion_cdfs(theta, n), start=1):
-        displacements[:, m] = np.searchsorted(cdf, rng.random(n_samples), side="right")
-    out = np.empty((n_samples, n), dtype=np.intp)
-    for k in range(n_samples):
-        row: list[int] = []
-        for m in range(n):
-            row.insert(m - displacements[k, m], consensus[m])
-        out[k] = row
-    return out
+    # insertion step m takes the m-th block of n_samples uniforms
+    uniforms = rng.random((consensus.size - 1, n_samples)).T
+    return _insertion_rankings(consensus, theta, uniforms)
 
 
 def sample_ratings(p, max_rating: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -127,9 +129,12 @@ def sample_dataset(
 ) -> Dataset:
     """Simulate a full dataset of paired rankings and ratings.
 
-    Judge ``i`` draws its ranking and then its ratings from the dedicated
-    stream ``(seed, i)``, so row ``i`` depends only on the seed and ``i``.
-    ``consensus`` defaults to the ranking implied by ``params.p``.
+    Judge ``i`` draws its ``J - 1`` insertion uniforms and then its ratings
+    from the dedicated stream ``(seed, i)``, so row ``i`` depends only on the
+    seed and ``i``: its ranking is ``sample_mallows(consensus, theta, 1,
+    spawn_rng(seed, i))[0]``.  The rankings of all judges are then built in
+    one insertion pass.  ``consensus`` defaults to the ranking implied by
+    ``params.p``.
     """
     n_judges = int(n_judges)
     if n_judges < 1:
@@ -141,22 +146,14 @@ def sample_dataset(
         consensus = params.consensus()
     consensus = as_ranking(consensus, params.n_objects)
     n = consensus.size
-    center = consensus.tolist()
-    cdfs = _insertion_cdfs(params.theta, n)
     seed, _ = _check_path(seed, ())
-    # one spawned child per judge; spawn(i) is the stream (seed, i), but
-    # hoisting validation and the displacement tables out of the loop makes
-    # this inlined draw much faster than per-judge sampler calls
-    children = np.random.SeedSequence(seed).spawn(n_judges)
-    rankings = np.empty((n_judges, n), dtype=np.intp)
+    uniforms = np.empty((n_judges, n - 1))
     ratings = np.empty((n_judges, n), dtype=np.int64)
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        u = rng.random(n - 1)
-        row = [center[0]]
-        for m in range(1, n):
-            v = int(np.searchsorted(cdfs[m - 1], u[m - 1], side="right"))
-            row.insert(m - v, center[m])
-        rankings[i] = row
+    for i in range(n_judges):
+        # the stream spawn_rng(seed, i), with the seed checked once; one
+        # generator at a time, so no list of all judges' streams is held
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        uniforms[i] = rng.random(n - 1)
         ratings[i] = rng.binomial(max_rating, params.p)
+    rankings = _insertion_rankings(consensus, params.theta, uniforms)
     return Dataset(ratings=ratings, rankings=rankings, max_rating=max_rating)

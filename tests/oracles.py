@@ -69,6 +69,38 @@ def mallows_pmf_exhaustive(center, theta: float) -> dict[tuple[int, ...], float]
     return {perm: w / total for perm, w in weights.items()}
 
 
+def insertion_loop(center, displacements) -> np.ndarray:
+    """Repeated insertion, one row and one Python ``list.insert`` at a time.
+
+    ``displacements[k, m]`` is how many places above the bottom of row
+    ``k``'s growing list ``center[m]`` is inserted; column 0 is ignored.
+    """
+    displacements = np.asarray(displacements)
+    out = np.empty(displacements.shape, dtype=np.intp)
+    for k, row_displacements in enumerate(displacements):
+        row: list[int] = []
+        for m, obj in enumerate(center):
+            row.insert(m - int(row_displacements[m]), obj)
+        out[k] = row
+    return out
+
+
+def sample_mallows_loop(center, theta: float, n_samples: int, rng) -> np.ndarray:
+    """Mallows draws as ``insertion_loop`` makes them, one uniform column per step.
+
+    Step ``m`` takes ``n_samples`` uniforms and maps each to a displacement
+    through the normalized ``exp(-theta * v)`` weights, ``v = 0..m``.
+    """
+    n = len(center)
+    displacements = np.zeros((n_samples, n), dtype=np.intp)
+    for m in range(1, n):
+        cdf = np.cumsum(np.exp(-theta * np.arange(m + 1)))
+        cdf /= cdf[-1]
+        cdf[-1] = 1.0
+        displacements[:, m] = np.searchsorted(cdf, rng.random(n_samples), side="right")
+    return insertion_loop(center, displacements)
+
+
 def distance_moments_exhaustive(theta: float, n: int) -> tuple[float, float]:
     """Mean and variance of the Kendall distance under the exhaustive pmf."""
     center = tuple(range(n))

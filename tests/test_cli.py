@@ -347,3 +347,49 @@ def test_cli_write_replaces_document_and_leaves_no_temporary(tmp_path):
                 "--M", "5", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["result"]["n_judges"] == 25
     assert sorted(os.listdir(tmp_path)) == before
+
+
+SIMULATE = ["simulate", "--p", "0.15,0.4,0.65,0.9", "--theta", "2.0",
+            "--judges", "30", "--M", "5", "--seed", "4"]
+
+
+def test_cli_simulate_failed_write_keeps_earlier_panel(tmp_path, monkeypatch, capsys):
+    ratings = tmp_path / "ratings.csv"
+    rankings = tmp_path / "rankings.csv"
+    ratings.write_text("earlier ratings\n")
+    rankings.write_text("earlier rankings\n")
+    before = sorted(os.listdir(tmp_path))
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    status = run(SIMULATE + ["--ratings", str(ratings), "--rankings", str(rankings)])
+    assert status == 1
+    assert "disk full" in capsys.readouterr().err
+    assert ratings.read_text() == "earlier ratings\n"
+    assert rankings.read_text() == "earlier rankings\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_cli_simulate_failed_second_write_leaves_whole_files(tmp_path, monkeypatch, capsys):
+    # the ratings file is renamed into place before the rankings write fails:
+    # each file is then either the earlier one or the complete new one
+    ratings = tmp_path / "ratings.csv"
+    rankings = tmp_path / "rankings.csv"
+    rankings.write_text("earlier rankings\n")
+    replace = os.replace
+
+    def refuse_rankings(src, dst):
+        if os.fspath(dst) == str(rankings):
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse_rankings)
+    status = run(SIMULATE + ["--ratings", str(ratings), "--rankings", str(rankings)])
+    assert status == 1
+    assert "disk full" in capsys.readouterr().err
+    direct = sample_dataset(PARAMS, 30, 5, seed=4)
+    assert np.array_equal(read_ratings(ratings), direct.ratings)
+    assert rankings.read_text() == "earlier rankings\n"
+    assert sorted(os.listdir(tmp_path)) == ["rankings.csv", "ratings.csv"]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mallows_binomial import (
     Params,
@@ -11,6 +13,7 @@ from mallows_binomial import (
     kendall_distance,
 )
 from mallows_binomial.sampling import (
+    _insertion_rankings,
     derive_seed,
     sample_dataset,
     sample_mallows,
@@ -18,7 +21,7 @@ from mallows_binomial.sampling import (
     spawn_rng,
 )
 
-from .oracles import mallows_pmf_exhaustive
+from .oracles import insertion_loop, mallows_pmf_exhaustive, sample_mallows_loop
 
 
 def encode(rows: np.ndarray) -> np.ndarray:
@@ -125,6 +128,47 @@ def test_sample_mallows_mean_distance_matches_theory():
     assert abs(mean_distance_to(rows, range(n)) - mean) < tolerance
 
 
+@st.composite
+def displacement_panels(draw):
+    """A center ranking and valid displacement rows for it (possibly none)."""
+    n = draw(st.integers(1, 12))
+    rows = draw(st.integers(0, 6))
+    center = np.array(draw(st.permutations(range(n))), dtype=np.intp)
+    displacements = np.zeros((rows, n), dtype=np.intp)
+    for k in range(rows):
+        for m in range(1, n):
+            displacements[k, m] = draw(st.integers(0, m))
+    return center, displacements
+
+
+@settings(max_examples=200, deadline=None)
+@given(displacement_panels())
+def test_insertion_kernel_matches_list_insert_loop(panel):
+    center, displacements = panel
+    # at theta = 0 the m + 1 slots of step m are equally likely, so the
+    # midpoint of slot v's CDF interval selects displacement v
+    steps = np.arange(1, center.size)
+    uniforms = (displacements[:, 1:] + 0.5) / (steps + 1)
+    rankings = _insertion_rankings(center, 0.0, uniforms)
+    expected = insertion_loop(center, displacements)
+    assert rankings.dtype == expected.dtype
+    assert rankings.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("theta", [1e-9, 0.05, 0.7, 3.0, 40.0])
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+@pytest.mark.parametrize("n_samples", [0, 1, 300])
+def test_sample_mallows_matches_loop_draw_for_draw(theta, n, n_samples):
+    center = np.random.default_rng(n).permutation(n)
+    rng, loop_rng = spawn_rng(n, n_samples), spawn_rng(n, n_samples)
+    rows = sample_mallows(center, theta, n_samples, rng)
+    expected = sample_mallows_loop(center, theta, n_samples, loop_rng)
+    assert rows.shape == (n_samples, n)
+    assert rows.tobytes() == expected.tobytes()
+    # both consumed the same uniforms
+    assert rng.random() == loop_rng.random()
+
+
 # ---------------------------------------------------------------------------
 # rating sampler
 
@@ -185,6 +229,27 @@ def test_sample_dataset_prefix_property():
     large = sample_dataset(PARAMS, 12, 5, seed=31)
     assert np.array_equal(small.ratings, large.ratings[:5])
     assert np.array_equal(small.rankings, large.rankings[:5])
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        Params(p=[0.7, 0.2, 0.55, 0.35, 0.9, 0.1], theta=0.6),
+        Params(p=[0.3], theta=1.0),
+        Params(p=[0.9, 0.1, 0.5, 0.3, 0.7], theta=40.0),
+    ],
+)
+def test_sample_dataset_rows_follow_sample_mallows_streams(params):
+    # judge i draws its ranking, then its ratings, from stream (seed, i)
+    data = sample_dataset(params, 30, 4, seed=2024)
+    consensus = params.consensus()
+    for i in range(data.n_judges):
+        rng = spawn_rng(2024, i)
+        ranking = sample_mallows(consensus, params.theta, 1, rng)[0]
+        assert data.rankings[i].tobytes() == ranking.tobytes()
+        assert np.array_equal(data.ratings[i], sample_ratings(params.p, 4, 1, rng)[0])
+    if params.n_objects == 1 or params.theta == 40.0:
+        assert np.all(data.rankings == consensus)
 
 
 def test_sample_dataset_judges_differ():
