@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .bootstrap import bootstrap_fit
+from .bootstrap import _bootstrap, _check_bootstrap_args, _worker_pool
 from .estimation import fit
 from .model import DEFAULT_BOUNDS, ParamBounds, Params, distance_variance
 from .sampling import derive_seed, sample_dataset
@@ -178,9 +178,11 @@ def coverage_study(
     Each replication simulates a dataset from ``params``, runs the full
     bootstrap pipeline on it, and records whether each parameter's interval
     covers the truth.  Valid intervals make every coverage approach
-    ``1 - alpha``.
+    ``1 - alpha``.  With ``workers`` > 1, every replication's bootstrap runs
+    on one process pool that lives as long as the study.
     """
     n_replications, alpha = _check_study_args(n_replications, alpha)
+    n_bootstrap, workers = _check_bootstrap_args(n_bootstrap, alpha, workers)
     truth = params.consensus()
     p_covered = np.empty((n_replications, params.n_objects), dtype=bool)
     theta_covered = np.empty(n_replications, dtype=bool)
@@ -188,25 +190,27 @@ def coverage_study(
     theta_width = np.empty(n_replications)
     clamp = np.empty(n_replications)
     recovered = np.empty(n_replications, dtype=bool)
-    for r in range(n_replications):
-        data = sample_dataset(params, n_judges, max_rating, derive_seed(seed, r, 0))
-        boot = bootstrap_fit(
-            data,
-            n_replicates=n_bootstrap,
-            alpha=alpha,
-            seed=derive_seed(seed, r, 1),
-            bounds=bounds,
-            exhaustive_cap=exhaustive_cap,
-            workers=workers,
-        )
-        lows, highs = boot.p_intervals[:, 0], boot.p_intervals[:, 1]
-        p_covered[r] = (lows <= params.p) & (params.p <= highs)
-        lo, hi = boot.theta_interval
-        theta_covered[r] = lo <= params.theta <= hi
-        p_width[r] = highs - lows
-        theta_width[r] = hi - lo
-        clamp[r] = boot.clamp_rate
-        recovered[r] = np.array_equal(boot.point.consensus, truth)
+    with _worker_pool(workers) as pool:
+        for r in range(n_replications):
+            data = sample_dataset(params, n_judges, max_rating, derive_seed(seed, r, 0))
+            boot = _bootstrap(
+                data,
+                n_bootstrap,
+                alpha,
+                derive_seed(seed, r, 1),
+                bounds,
+                exhaustive_cap,
+                workers,
+                pool,
+            )
+            lows, highs = boot.p_intervals[:, 0], boot.p_intervals[:, 1]
+            p_covered[r] = (lows <= params.p) & (params.p <= highs)
+            lo, hi = boot.theta_interval
+            theta_covered[r] = lo <= params.theta <= hi
+            p_width[r] = highs - lows
+            theta_width[r] = hi - lo
+            clamp[r] = boot.clamp_rate
+            recovered[r] = np.array_equal(boot.point.consensus, truth)
     return CoverageReport(
         kind="bootstrap",
         p_true=tuple(float(v) for v in params.p),

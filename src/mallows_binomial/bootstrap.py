@@ -6,10 +6,20 @@ model from scratch, and the spread of the refitted parameters across
 replicates yields percentile confidence intervals.
 
 A replicate is determined by how often it draws each judge (its resampling
-vector, Efron 1982).  Its sufficient statistics are those multiplicities
-times per-judge tables built once per call: rating sums, pair indicators and
-rating-level counts.  Every sum is an exact integer, so the statistics are
-bit for bit those of the resampled dataset, without building it.
+vector, Efron 1982).  The multiplicities of a block of replicates form a
+matrix ``W`` (replicates x judges), and ``W`` times per-judge tables built
+once per call (rating sums, pair indicators and rating-level counts) gives
+every replicate's sufficient statistics.  Every sum is an exact integer, so
+the statistics are bit for bit those of the resampled dataset, without
+building it.
+
+Replicates with at most ``exhaustive_cap`` objects are refitted as a stack:
+the exhaustive screen scores a block of replicates' candidates in one numpy
+pass, and one memo of concentration solves, keyed on the integer
+disagreement count, serves every replicate.  The results are those of
+fitting each replicate on its own.  Larger panels refit replicate by
+replicate with the best-first search.  With ``workers`` > 1, each worker
+process gets one job: a contiguous range of replicates.
 
 Replicate ``b`` draws from the dedicated stream ``(seed, b)``, so results are
 identical no matter how replicates are scheduled, and adding replicates
@@ -18,13 +28,13 @@ extends the existing ones instead of reshuffling them.
 
 from __future__ import annotations
 
-import functools
+import contextlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import FitResult, fit
+from .estimation import FitResult, _fit_stack, _stack_block, fit
 from .model import (
     DEFAULT_BOUNDS,
     Dataset,
@@ -120,22 +130,89 @@ class _JudgeTables:
             max_rating=data.max_rating,
         )
 
-    def replicate(self, seed, b: int) -> SufficientStats:
-        """Statistics of replicate ``b``: the draws ``resample`` makes from ``(seed, b)``."""
+    def replicates(self, seed, start: int, stop: int) -> list[SufficientStats]:
+        """Statistics of replicates ``start..stop-1``: the draws ``resample``
+        makes from ``(seed, b)``."""
         n_judges, n = self.ratings.shape
-        weights = np.bincount(_draw_judges(n_judges, spawn_rng(seed, b)), minlength=n_judges)
-        return SufficientStats(
-            xbar=_freeze((weights @ self.ratings) / n_judges),
-            pair_counts=_freeze((weights @ self.pairs).reshape(n, n)),
-            n_judges=n_judges,
-            max_rating=self.max_rating,
-            log_binom_const=float((weights @ self.levels) @ self.log_binom),
+        weights = np.stack(
+            [
+                np.bincount(_draw_judges(n_judges, spawn_rng(seed, b)), minlength=n_judges)
+                for b in range(start, stop)
+            ]
         )
+        rating_sums = weights @ self.ratings
+        pair_counts = weights @ self.pairs
+        level_counts = weights @ self.levels
+        return [
+            SufficientStats(
+                xbar=_freeze(rating_sums[row] / n_judges),
+                pair_counts=_freeze(pair_counts[row].reshape(n, n)),
+                n_judges=n_judges,
+                max_rating=self.max_rating,
+                # row by row: a matrix-vector product may round differently
+                log_binom_const=float(level_counts[row] @ self.log_binom),
+            )
+            for row in range(stop - start)
+        ]
+
+    def replicate(self, seed, b: int) -> SufficientStats:
+        """Statistics of replicate ``b`` alone."""
+        return self.replicates(seed, b, b + 1)[0]
 
 
-def _fit_replicate(tables, seed, bounds, exhaustive_cap, b):
-    refit = fit(tables.replicate(seed, b), bounds, exhaustive_cap=exhaustive_cap)
-    return refit.p, refit.theta, refit.consensus, refit.theta_clamped
+def _fit_replicates(job) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Refits of the replicates ``start..stop-1`` of one job, in order.
+
+    ``job`` is ``(tables, seed, bounds, exhaustive_cap, start, stop)``.
+    Up to ``exhaustive_cap`` objects, one screen block of replicates at a
+    time is built (so ``W`` never has more rows than a block) and refitted
+    as a stack, with one memo of concentration solves for the whole job;
+    larger panels refit replicate by replicate with :func:`fit`.  Returns
+    the stacked qualities, concentrations, consensus rankings and clamp
+    flags.
+    """
+    tables, seed, bounds, exhaustive_cap, start, stop = job
+    n = tables.ratings.shape[1]
+    if n <= exhaustive_cap:
+        memo: dict = {}
+        size = _stack_block(n)
+        fits = []
+        for lo in range(start, stop, size):
+            stack = tables.replicates(seed, lo, min(lo + size, stop))
+            fits += _fit_stack(stack, bounds, memo)
+    else:
+        fits = [
+            fit(tables.replicate(seed, b), bounds, exhaustive_cap=exhaustive_cap)
+            for b in range(start, stop)
+        ]
+    return (
+        np.array([refit.p for refit in fits]),
+        np.array([refit.theta for refit in fits]),
+        np.array([refit.consensus for refit in fits]),
+        np.array([refit.theta_clamped for refit in fits]),
+    )
+
+
+def _check_bootstrap_args(n_replicates: int, alpha: float, workers: int) -> tuple[int, int]:
+    n_replicates = int(n_replicates)
+    if n_replicates < 1:
+        raise ValueError(f"need at least one replicate, got {n_replicates}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    workers = int(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
+    return n_replicates, workers
+
+
+@contextlib.contextmanager
+def _worker_pool(workers: int):
+    """A process pool of ``workers`` processes, or None for one worker."""
+    if workers == 1:
+        yield None
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield pool
 
 
 def bootstrap_fit(
@@ -153,30 +230,37 @@ def bootstrap_fit(
     byte-identical for any worker count because replicate ``b`` is fully
     determined by ``(seed, b)`` and results are collected in replicate order.
     """
-    n_replicates = int(n_replicates)
-    if n_replicates < 1:
-        raise ValueError(f"need at least one replicate, got {n_replicates}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
+    n_replicates, workers = _check_bootstrap_args(n_replicates, alpha, workers)
+    with _worker_pool(workers) as pool:
+        return _bootstrap(data, n_replicates, alpha, seed, bounds, exhaustive_cap, workers, pool)
 
+
+def _bootstrap(
+    data: Dataset,
+    n_replicates: int,
+    alpha: float,
+    seed,
+    bounds: ParamBounds,
+    exhaustive_cap: int,
+    workers: int,
+    pool,
+) -> BootstrapResult:
+    """:func:`bootstrap_fit` for checked arguments, on ``pool`` when ``workers`` > 1."""
     point = fit(data, bounds, exhaustive_cap=exhaustive_cap)
-    # the tables travel once per chunk of replicates, not once per replicate
-    fit_one = functools.partial(
-        _fit_replicate, _JudgeTables.from_dataset(data), seed, bounds, exhaustive_cap
-    )
-    if workers == 1:
-        replicates = [fit_one(b) for b in range(n_replicates)]
+    tables = _JudgeTables.from_dataset(data)
+    edges = np.linspace(0, n_replicates, workers + 1).round().astype(int).tolist()
+    jobs = [
+        (tables, seed, bounds, exhaustive_cap, start, stop)
+        for start, stop in zip(edges, edges[1:])
+        if start < stop
+    ]
+    if pool is None:
+        parts = [_fit_replicates(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            replicates = list(pool.map(fit_one, range(n_replicates), chunksize=32))
-
-    p_samples = np.array([r[0] for r in replicates])
-    theta_samples = np.array([r[1] for r in replicates])
-    consensus_samples = np.array([r[2] for r in replicates])
-    clamped = np.array([r[3] for r in replicates])
+        parts = list(pool.map(_fit_replicates, jobs))
+    p_samples, theta_samples, consensus_samples, clamped = (
+        np.concatenate(column) for column in zip(*parts)
+    )
     p_intervals = np.array(
         [percentile_interval(p_samples[:, j], alpha) for j in range(data.n_objects)]
     )

@@ -5,7 +5,9 @@ summary on request) that echoes every parsed argument but ``--threads``, and
 exits with status 0 only when that document was completely written.  A
 document, like each CSV file of ``simulate``, goes to a temporary file beside
 its path and is renamed into place, so a failed write leaves any earlier file
-at that path untouched.  Documents contain no timestamps or machine
+at that path untouched.  ``simulate`` writes both CSV files before renaming
+either; only a failure between the two renames can leave the new ratings
+beside the earlier rankings.  Documents contain no timestamps or machine
 identifiers: the same invocation always produces the same bytes, whatever
 ``--threads`` says.
 
@@ -23,7 +25,7 @@ import numpy as np
 from .asymptotics import coverage_study, lan_check
 from .bootstrap import BootstrapResult, bootstrap_fit
 from .estimation import FitResult, fit
-from .io import _write_atomically, read_dataset, write_ratings, write_rankings
+from .io import _replacing, _write_atomically, read_dataset, write_ratings, write_rankings
 from .model import DEFAULT_BOUNDS, ParamBounds, Params
 from .sampling import sample_dataset
 
@@ -205,8 +207,10 @@ def _cmd_fit(args) -> dict:
 def _cmd_simulate(args) -> dict:
     params = Params(p=np.asarray(args.p), theta=args.theta)
     data = sample_dataset(params, args.judges, args.M, args.seed)
-    write_ratings(args.ratings, data.ratings)
-    write_rankings(args.rankings, data.rankings)
+    # both files are complete before either is renamed into place
+    with _replacing(args.ratings, args.rankings) as (ratings, rankings):
+        write_ratings(ratings, data.ratings)
+        write_rankings(rankings, data.rankings)
     return {
         "ratings_path": args.ratings,
         "rankings_path": args.rankings,

@@ -17,25 +17,31 @@ permutation; :func:`fit_best_first` explores prefixes of the consensus with
 an upper bound on the best completion and provably returns the same optimum,
 usually after profiling a small fraction of the permutations.
 
-The exhaustive search is a screen in three steps.  The profile of a
-candidate is ``I * [R + g(D / I)] + const``, where ``R`` is the rating term
-at the order-constrained qualities, ``D`` the integer count of judge-pair
-disagreements with the candidate, and ``g(d) = max_theta [-theta d - log
-psi(theta)]``, which cannot increase with ``d``.
+The exhaustive search is a screen in three steps, run over a stack of
+sufficient statistics that share the judge count, object count and rating
+scale (:func:`fit_exhaustive` is the stack of one; the bootstrap stacks its
+replicates).  The profile of a candidate is ``I * [R + g(D / I)] + const``,
+where ``R`` is the rating term at the order-constrained qualities, ``D`` the
+integer count of judge-pair disagreements with the candidate, and ``g(d) =
+max_theta [-theta d - log psi(theta)]``, which cannot increase with ``d``.
 
-1. One numpy pass over a lexicographic permutation table, in fixed-size
-   blocks, gives ``R`` (isotonic fit by the min-max formula, box clip,
-   Binomial term) and ``D`` for every candidate.  A candidate is dropped
-   when another beats its ``R`` by more than a slack with a ``D`` no larger:
-   it cannot be the optimum.
-2. ``g`` is evaluated with :func:`theta_mle` once per distinct ``D`` among
-   the survivors.
-3. Only the candidates within the slack of the best screened score get the
-   scalar :func:`profile_loglik`, in lexicographic order with a strict
-   ``>``, which is exactly the loop over all permutations restricted to the
-   only candidates that can win it.  The slack is orders of magnitude above
-   the rounding difference between the screen and the scalar profile, so the
-   winner, the tie-break and every reported number are those of that loop.
+1. One numpy pass gives ``R`` (isotonic fit by the min-max formula, box
+   clip, Binomial term) and ``D`` for every candidate of every statistics in
+   a block of 7! = 5040 rows: as many statistics as their J! candidates fit
+   in, or, past 7 objects, one statistics over several blocks.  A candidate
+   is dropped when another of the same statistics beats its ``R`` by more
+   than a slack with a ``D`` no larger: it cannot be the optimum.
+2. ``g`` is evaluated once per distinct ``D`` among the survivors.  A memo
+   keyed on ``D`` keeps every :func:`theta_mle` solve of the call, and the
+   profiles of step 3 read it too; the solve depends only on ``D / I``,
+   ``J`` and the box, so the memo changes no bit.
+3. Only the candidates within the slack of their statistics' best screened
+   score get the scalar profile of :func:`profile_loglik`, in lexicographic
+   order with a strict ``>``, which is exactly the loop over all
+   permutations restricted to the only candidates that can win it.  The
+   slack is orders of magnitude above the rounding difference between the
+   screen and the scalar profile, so the winner, the tie-break and every
+   reported number are those of that loop.
 
 The best-first search bounds all children of a prefix in one pass with the
 same decomposition.  ``R`` comes from the screen's kernel applied to the
@@ -43,14 +49,17 @@ children's chains (the prefix plus one object), plus the unconstrained
 rating maxima of the objects each child leaves free.  ``D`` is lowered to an
 exact integer minimum over completions: the pairs a child decides count
 their disagreements, and each undecided pair counts the smaller of its two
-orders.  ``g`` comes from a vectorised solve (a cached grid of the expected
-distance brackets each root, and Newton steps finish it).  Full rankings
+orders; a child's decided count is its parent's plus the disagreements on
+the child's pairs with the other free objects, carried in the queue entry.
+``g`` comes from a vectorised solve (a cached grid of the expected distance
+brackets each root, and Newton steps finish it).  Full rankings
 still get the scalar :func:`profile_loglik`, so the search returns the same
 result, node count and profile count as bounding one child at a time.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import heapq
 import itertools
@@ -168,12 +177,42 @@ def profile_loglik(
     stats = _as_stats(data)
     consensus = as_ranking(consensus, stats.n_objects)
     p = _constrained_p(stats.xbar, stats.max_rating, consensus, bounds)
-    dbar = stats._distance_to(consensus)
-    theta, clamped = theta_mle(dbar, stats.n_objects, bounds)
-    loglik = _loglik_from_stats(stats, p, theta, dbar)
+    disagreements = stats._disagreements_with(consensus)
+    memo = _stack_solves.get()
+    theta, clamped, _ = _concentration(
+        {} if memo is None else memo, disagreements, stats.n_judges, stats.n_objects, bounds
+    )
+    loglik = _loglik_from_stats(stats, p, theta, float(disagreements) / stats.n_judges)
     return ProfileFit(
         consensus=consensus, p=p, theta=theta, theta_clamped=clamped, loglik=loglik
     )
+
+
+# the concentration memo of the stacked fit running in this context, if any.
+# Its profiles go through the public profile_loglik, which keeps its
+# signature (wrappers of it, such as bench/tracing.py, see every profile),
+# and read the solves of the screen from here; _fit_stack sets and resets it
+_stack_solves: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "_stack_solves", default=None
+)
+
+
+def _concentration(
+    memo: dict, disagreements: int, n_judges: int, n_objects: int, bounds: ParamBounds
+) -> tuple[float, bool, float]:
+    """``(theta, clamped, g)`` at ``disagreements`` judge-pair disagreements.
+
+    ``g = -theta * dbar - log psi(theta)`` is the ranking term at the mean
+    distance ``dbar = disagreements / n_judges``.  :func:`theta_mle` runs once
+    per distinct count: ``memo`` keeps every solve, so it must only ever see
+    one judge count, object count and box.
+    """
+    entry = memo.get(disagreements)
+    if entry is None:
+        dbar = float(disagreements) / n_judges
+        theta, clamped = theta_mle(dbar, n_objects, bounds)
+        entry = memo[disagreements] = (theta, clamped, -theta * dbar - log_psi(theta, n_objects))
+    return entry
 
 
 @dataclass(frozen=True)
@@ -214,8 +253,10 @@ def _result(best: ProfileFit, method: str, candidates: int, nodes: int) -> FitRe
 
 
 # objects ordered within one block of the permutation table: a block holds
-# the 7! = 5040 orderings of the last objects behind one fixed prefix
+# the 7! = 5040 orderings of the last objects behind one fixed prefix, and
+# its row count is also what one pass of the screen scores at once
 _BLOCK_OBJECTS = 7
+_BLOCK_ROWS = math.factorial(_BLOCK_OBJECTS)
 
 
 @functools.lru_cache(maxsize=_BLOCK_OBJECTS)
@@ -237,17 +278,23 @@ def _permutation_blocks(n: int):
         yield block
 
 
-def _rating_terms(stats: SufficientStats, perms: np.ndarray, bounds: ParamBounds) -> np.ndarray:
-    """Per-judge rating term at the constrained qualities, for every row of ``perms``.
+def _stack_block(n_objects: int) -> int:
+    """How many statistics the screen scores in one pass: as many whole sets
+    of ``J!`` candidates as fit in a block, and at least one."""
+    return max(1, _BLOCK_ROWS // math.factorial(n_objects))
 
-    The isotonic fit uses the min-max formula for equal weights: the fitted
+
+def _rating_terms(xbar: np.ndarray, max_rating: int, bounds: ParamBounds) -> np.ndarray:
+    """Per-judge rating term at the constrained qualities, for every row of ``xbar``.
+
+    Row ``r`` of ``xbar`` holds mean ratings in candidate order.  The
+    isotonic fit uses the min-max formula for equal weights: the fitted
     value at rank ``k`` is the largest over ``i <= k`` of the smallest mean
     of ``y[i..j]`` over ``j >= k``.
     """
-    xbar = stats.xbar[perms]
-    n = perms.shape[1]
-    cumulative = np.zeros((perms.shape[0], n + 1))
-    np.cumsum(xbar / stats.max_rating, axis=1, out=cumulative[:, 1:])
+    n = xbar.shape[1]
+    cumulative = np.zeros((xbar.shape[0], n + 1))
+    np.cumsum(xbar / max_rating, axis=1, out=cumulative[:, 1:])
     first, last = np.arange(n)[:, None], np.arange(n)[None, :]
     # interval[b, i, j] = mean of y[i..j]; entries with i > j are never used
     interval = (cumulative[:, None, 1:] - cumulative[:, :-1, None]) / np.maximum(
@@ -256,29 +303,115 @@ def _rating_terms(stats: SufficientStats, perms: np.ndarray, bounds: ParamBounds
     suffix_min = np.minimum.accumulate(interval[:, :, ::-1], axis=2)[:, :, ::-1]
     suffix_min[:, first > last] = -np.inf
     p = np.clip(suffix_min.max(axis=1), bounds.p_min, bounds.p_max)
-    return np.sum(xbar * np.log(p) + (stats.max_rating - xbar) * np.log1p(-p), axis=1)
+    return np.sum(xbar * np.log(p) + (max_rating - xbar) * np.log1p(-p), axis=1)
 
 
-def _disagreements(stats: SufficientStats, perms: np.ndarray) -> np.ndarray:
-    """Judge-pair disagreement count with every row of ``perms`` (exact integers)."""
+def _disagreements(pair_counts: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Judge-pair disagreement counts (exact integers), one row per statistics.
+
+    ``pair_counts`` stacks ``J x J`` count matrices; entry ``[s, c]`` of the
+    result is statistics ``s``'s count against row ``c`` of ``perms``.
+    """
     n = perms.shape[1]
     ahead, behind = np.triu_indices(n, 1)
-    flat = stats.pair_counts.ravel()
-    return flat[perms[:, behind] * n + perms[:, ahead]].sum(axis=1)
+    flat = pair_counts.reshape(pair_counts.shape[0], n * n)
+    return flat[:, perms[:, behind] * n + perms[:, ahead]].sum(axis=2)
 
 
 def _undominated(rating: np.ndarray, disagreements: np.ndarray) -> np.ndarray:
     """Mask of the candidates that no other candidate with a ``D`` no larger
-    beats on ``R`` by more than the slack."""
-    order = np.argsort(disagreements, kind="stable")
-    sorted_d = disagreements[order]
-    running = np.maximum.accumulate(rating[order])
-    # candidates with equal D must all see each other
-    ceiling = running[np.searchsorted(sorted_d, sorted_d, side="right") - 1]
-    slack = _PRUNE_SLACK * (1.0 + abs(float(running[-1])))
-    keep = np.empty(rating.size, dtype=bool)
-    keep[order] = rating[order] >= ceiling - slack
+    beats on ``R`` by more than the slack.
+
+    Candidates lie along the last axis; each row along the leading axes is
+    screened on its own.
+    """
+    order = np.argsort(disagreements, axis=-1, kind="stable")
+    sorted_d = np.take_along_axis(disagreements, order, axis=-1)
+    sorted_r = np.take_along_axis(rating, order, axis=-1)
+    running = np.maximum.accumulate(sorted_r, axis=-1)
+    # candidates with equal D must all see each other: look up the running
+    # maximum at the last candidate of each D
+    n = sorted_d.shape[-1]
+    group_end = np.ones(sorted_d.shape, dtype=bool)
+    group_end[..., :-1] = sorted_d[..., 1:] != sorted_d[..., :-1]
+    last = np.where(group_end, np.arange(n), n - 1)
+    last = np.minimum.accumulate(last[..., ::-1], axis=-1)[..., ::-1]
+    ceiling = np.take_along_axis(running, last, axis=-1)
+    slack = _PRUNE_SLACK * (1.0 + np.abs(running[..., -1:]))
+    keep = np.empty(rating.shape, dtype=bool)
+    np.put_along_axis(keep, order, sorted_r >= ceiling - slack, axis=-1)
     return keep
+
+
+def _screen_survivors(stack: list[SufficientStats], bounds: ParamBounds):
+    """Step 1 of the screen for one block of statistics.
+
+    Returns the survivors as ``(owner, perms, rating, disagreements)``:
+    ``owner`` indexes ``stack``, and rows run by owner, then in
+    lexicographic order.  Every owner keeps at least its best ``R``.
+    """
+    n = stack[0].n_objects
+    xbar = np.stack([stats.xbar for stats in stack])
+    pair_counts = np.stack([stats.pair_counts for stats in stack])
+    parts = []
+    for perms in _permutation_blocks(n):
+        rating = _rating_terms(
+            xbar[:, perms].reshape(-1, n), stack[0].max_rating, bounds
+        ).reshape(len(stack), -1)
+        disagreements = _disagreements(pair_counts, perms)
+        keep = _undominated(rating, disagreements)
+        owner, row = np.nonzero(keep)
+        parts.append((owner, perms[row], rating[keep], disagreements[keep]))
+    survivors = [np.concatenate(column) for column in zip(*parts)]
+    if len(parts) > 1:
+        # past 7 objects a block holds one statistics (_stack_block): screen
+        # the survivors of all its prefix blocks against each other; with a
+        # single block this second pass would keep every survivor
+        keep = _undominated(survivors[2], survivors[3])
+        survivors = [column[keep] for column in survivors]
+    return survivors
+
+
+def _fit_stack(
+    stack: list[SufficientStats], bounds: ParamBounds, memo: dict
+) -> list[ProfileFit]:
+    """Exhaustive joint MLE for every statistics in ``stack``, in order.
+
+    The statistics must share the object count, judge count and rating
+    scale; ``memo`` caches concentration solves for that judge count, object
+    count and ``bounds`` (:func:`_concentration`).  Statistics go through
+    the screen a block at a time; each one's result is the one
+    :func:`fit_exhaustive` gives it alone.
+    """
+    n = stack[0].n_objects
+    n_judges = stack[0].n_judges
+    size = _stack_block(n)
+    fits: list[ProfileFit] = []
+    for start in range(0, len(stack), size):
+        block = stack[start : start + size]
+        owner, perms, rating, disagreements = _screen_survivors(block, bounds)
+        # step 2: the ranking term once per distinct D
+        distinct, index = np.unique(disagreements, return_inverse=True)
+        ranking = np.array(
+            [_concentration(memo, d, n_judges, n, bounds)[2] for d in distinct.tolist()]
+        )
+        score = rating + ranking[index]
+        top = np.maximum.reduceat(score, np.flatnonzero(np.diff(owner, prepend=-1)))
+        floor = top - _PRUNE_SLACK * (1.0 + np.abs(top))
+        # step 3: scalar profiles of the candidates that can win, in
+        # lexicographic order with a strict ">", reading the same memo
+        best: list[ProfileFit | None] = [None] * len(block)
+        contenders = score >= floor[owner]
+        token = _stack_solves.set(memo)
+        try:
+            for s, perm in zip(owner[contenders].tolist(), perms[contenders]):
+                candidate = profile_loglik(block[s], perm, bounds)
+                if best[s] is None or candidate.loglik > best[s].loglik:
+                    best[s] = candidate
+        finally:
+            _stack_solves.reset(token)
+        fits += best
+    return fits
 
 
 def fit_exhaustive(
@@ -300,29 +433,7 @@ def fit_exhaustive(
             f"exhaustive search over {n} objects means {n}! candidates; "
             "raise exhaustive_cap or use fit_best_first"
         )
-    blocks = []
-    for perms in _permutation_blocks(n):
-        rating = _rating_terms(stats, perms, bounds)
-        disagreements = _disagreements(stats, perms)
-        keep = _undominated(rating, disagreements)
-        blocks.append((perms[keep], rating[keep], disagreements[keep]))
-    perms, rating, disagreements = (np.concatenate(parts) for parts in zip(*blocks))
-    keep = _undominated(rating, disagreements)
-    perms, rating, disagreements = perms[keep], rating[keep], disagreements[keep]
-
-    distinct, index = np.unique(disagreements, return_inverse=True)
-    ranking = np.empty(distinct.size)
-    for k, total in enumerate(distinct):
-        dbar = float(total) / stats.n_judges
-        theta, _ = theta_mle(dbar, n, bounds)
-        ranking[k] = -theta * dbar - log_psi(theta, n)
-    score = rating + ranking[index]
-    top = float(score.max())
-    best = None
-    for perm in perms[score >= top - _PRUNE_SLACK * (1.0 + abs(top))]:
-        candidate = profile_loglik(stats, perm, bounds)
-        if best is None or candidate.loglik > best.loglik:
-            best = candidate
+    (best,) = _fit_stack([stats], bounds, {})
     return _result(best, "exhaustive", math.factorial(n), 0)
 
 
@@ -422,37 +533,36 @@ def _child_bounds(
     free: np.ndarray,
     free_rating: np.ndarray,
     bounds: ParamBounds,
-) -> np.ndarray:
+    decided: int,
+) -> tuple[np.ndarray, np.ndarray]:
     """Upper bound on the profile log-likelihood over the completions of
-    every child ``prefix + (c,)``, for ``c`` in ``free`` (same order).
+    every child ``prefix + (c,)``, for ``c`` in ``free`` (same order), and
+    each child's decided disagreement count.
 
+    ``decided`` counts the disagreements on the pairs the prefix decides:
+    the pairs within it and those between it and the free objects.
     Relaxations: objects left free after the child drop their order
     constraints entirely (keeping only the box), and the mean distance is
     lowered to its minimum over completions, with the concentration then
     chosen optimally for that minimum.  Every relaxation only raises the
     value, so no completion can beat its child's bound.
     """
-    prefix_arr = np.asarray(prefix, dtype=np.intp)
-    chains = np.empty((free.size, prefix_arr.size + 1), dtype=np.intp)
-    chains[:, :-1] = prefix_arr
+    chains = np.empty((free.size, len(prefix) + 1), dtype=np.intp)
+    chains[:, :-1] = prefix
     chains[:, -1] = free
     # rating term: exact order-constrained maximum along each child's chain,
     # unconstrained per-object maxima for the objects it leaves free
     rest = free_rating[free]
-    rating = _rating_terms(stats, chains, bounds) + (rest.sum() - rest)
-    # ranking term (exact integers): pairs touching the prefix are decided
-    # for every child; each child decides its pairs with the other free
-    # objects; the pairs the child leaves undecided count the smaller order
-    counts = stats.pair_counts
-    decided = (
-        np.tril(counts[np.ix_(prefix_arr, prefix_arr)], -1).sum()
-        + counts[np.ix_(free, prefix_arr)].sum()
-    )
-    sub = counts[np.ix_(free, free)]
+    rating = _rating_terms(stats.xbar[chains], stats.max_rating, bounds) + (rest.sum() - rest)
+    # ranking term (exact integers): each child also decides its pairs with
+    # the other free objects; the pairs it leaves undecided count the
+    # smaller order
+    sub = stats.pair_counts[np.ix_(free, free)]
+    child_decided = decided + sub.sum(axis=0)
     smaller = np.minimum(sub, sub.T).sum(axis=1)
-    disagreements = decided + sub.sum(axis=0) + smaller.sum() // 2 - smaller
+    disagreements = child_decided + smaller.sum() // 2 - smaller
     ranking = _concentration_terms(disagreements / stats.n_judges, stats.n_objects, bounds)
-    return stats.n_judges * (ranking + rating) + stats.log_binom_const
+    return stats.n_judges * (ranking + rating) + stats.log_binom_const, child_decided
 
 
 def fit_best_first(data, bounds: ParamBounds = DEFAULT_BOUNDS) -> FitResult:
@@ -471,7 +581,9 @@ def fit_best_first(data, bounds: ParamBounds = DEFAULT_BOUNDS) -> FitResult:
     stats = _as_stats(data)
     n = stats.n_objects
     free_rating = _free_rating_bounds(stats, bounds)
-    queue: list[tuple[float, tuple[int, ...]]] = []
+    # (-bound, prefix, decided disagreements): prefixes are unique, so the
+    # count is never compared
+    queue: list[tuple[float, tuple[int, ...], int]] = []
     best: ProfileFit | None = None
     candidates = 0
     nodes = 0
@@ -490,27 +602,31 @@ def fit_best_first(data, bounds: ParamBounds = DEFAULT_BOUNDS) -> FitResult:
         ):
             best = candidate
 
-    def expand(prefix: tuple[int, ...], free: np.ndarray):
+    def expand(prefix: tuple[int, ...], free: np.ndarray, decided: int):
         nonlocal nodes
         nodes += 1
         if free.size <= 2:
             for obj in free.tolist():
                 consider(prefix + (obj,) + tuple(free[free != obj].tolist()))
             return
-        child_bounds = _child_bounds(stats, prefix, free, free_rating, bounds)
+        child_bounds, child_decided = _child_bounds(
+            stats, prefix, free, free_rating, bounds, decided
+        )
         floor = -math.inf if best is None else best.loglik - slack()
-        for obj, bound in zip(free.tolist(), child_bounds.tolist()):
+        for obj, bound, count in zip(
+            free.tolist(), child_bounds.tolist(), child_decided.tolist()
+        ):
             if bound >= floor:
-                heapq.heappush(queue, (-bound, prefix + (obj,)))
+                heapq.heappush(queue, (-bound, prefix + (obj,), count))
 
-    expand((), np.arange(n, dtype=np.intp))
+    expand((), np.arange(n, dtype=np.intp), 0)
     while queue:
-        neg_bound, prefix = heapq.heappop(queue)
+        neg_bound, prefix, decided = heapq.heappop(queue)
         if best is not None and -neg_bound < best.loglik - slack():
             break
         prefix_set = set(prefix)
         free = np.array([o for o in range(n) if o not in prefix_set], dtype=np.intp)
-        expand(prefix, free)
+        expand(prefix, free, decided)
     return _result(best, "best_first", candidates, nodes)
 
 

@@ -117,22 +117,41 @@ def read_dataset(ratings_path, rankings_path, max_rating: int) -> Dataset:
     return Dataset(ratings=ratings, rankings=rankings, max_rating=max_rating)
 
 
+@contextlib.contextmanager
+def _replacing(*paths):
+    """Yield a fresh temporary path beside each of ``paths``; once the block
+    has written them all, rename each into place, in order.
+
+    On any failure every temporary file is removed.  Each rename is atomic,
+    but two renames are never atomic together: a failure between them leaves
+    the earlier paths new and the later ones old.
+    """
+    temporaries = []
+    for path in paths:
+        directory, name = os.path.split(os.path.abspath(path))
+        temporaries.append(
+            os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+        )
+    try:
+        yield temporaries
+        for temporary, path in zip(temporaries, paths):
+            os.replace(temporary, path)
+    except BaseException:
+        for temporary in temporaries:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temporary)
+        raise
+
+
 def _write_atomically(path, text: str) -> None:
     """Write ``text`` to a fresh file beside ``path``, then rename it into place.
 
     Readers of ``path`` see the old file or the complete new one, never a
     partial write; on any failure the temporary file is removed.
     """
-    directory, name = os.path.split(os.path.abspath(path))
-    temporary = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    try:
+    with _replacing(path) as (temporary,):
         with open(temporary, "x", newline="") as handle:
             handle.write(text)
-        os.replace(temporary, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(temporary)
-        raise
 
 
 def _write_csv(path, rows, header=None) -> None:

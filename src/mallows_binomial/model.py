@@ -407,10 +407,15 @@ class SufficientStats:
 
     def _distance_to(self, order: np.ndarray) -> float:
         """:meth:`mean_distance` for an already validated ranking."""
+        return float(self._disagreements_with(order)) / self.n_judges
+
+    def _disagreements_with(self, order: np.ndarray) -> int:
+        """Judge-pair disagreements with an already validated ranking (an
+        exact integer: ``n_judges`` times the mean distance)."""
         sub = self.pair_counts[np.ix_(order, order)]
         # entry (j, i) below the diagonal counts judges that disagree with
         # consensus on the pair (order[i], order[j])
-        return float(np.tril(sub, -1).sum()) / self.n_judges
+        return int(np.tril(sub, -1).sum())
 
 
 def _loglik_from_stats(stats: SufficientStats, p, theta: float, dbar: float) -> float:

@@ -5,12 +5,14 @@ the package code: pair-by-pair distance counting, exhaustive sums over all J!
 permutations, term-by-term density products, and grid searches.  Slow is
 fine; these run only at small sizes.
 
-The exceptions are the two searches as scalar loops:
-:func:`fit_exhaustive_loop` runs one profile per permutation, and
-:func:`fit_best_first_loop` bounds one child prefix at a time.  Both call the
-package's ``profile_loglik`` on purpose: the screened exhaustive search and
-the batched best-first search must reproduce them bit for bit, not merely
-within a tolerance.
+The exceptions are the searches as scalar loops:
+:func:`fit_exhaustive_loop` runs one profile per permutation,
+:func:`fit_best_first_loop` bounds one child prefix at a time, and
+:func:`bootstrap_replicates_loop` refits one bootstrap replicate at a time.
+They call the package's ``profile_loglik`` and ``fit`` on purpose: the
+screened exhaustive search, the batched best-first search and the stacked
+bootstrap refits must reproduce them bit for bit, not merely within a
+tolerance.
 """
 
 from __future__ import annotations
@@ -25,10 +27,12 @@ from scipy.optimize import isotonic_regression
 from mallows_binomial import (
     DEFAULT_BOUNDS,
     SufficientStats,
+    fit,
     log_psi,
     profile_loglik,
     theta_mle,
 )
+from mallows_binomial.bootstrap import _JudgeTables
 from mallows_binomial.estimation import _PRUNE_SLACK, _free_rating_bounds
 
 
@@ -322,3 +326,22 @@ def fit_best_first_loop(data, bounds=DEFAULT_BOUNDS):
         free = np.array([o for o in range(n) if o not in prefix_set], dtype=np.intp)
         expand(prefix, free)
     return best, candidates, nodes
+
+
+def bootstrap_replicates_loop(data, n_replicates, seed, bounds=DEFAULT_BOUNDS, exhaustive_cap=8):
+    """Bootstrap refits one ``fit`` call per replicate, in replicate order.
+
+    Returns the qualities, concentrations, consensus rankings and clamp
+    flags of replicates ``0..n_replicates-1`` as stacked arrays.
+    """
+    tables = _JudgeTables.from_dataset(data)
+    fits = [
+        fit(tables.replicate(seed, b), bounds, exhaustive_cap=exhaustive_cap)
+        for b in range(n_replicates)
+    ]
+    return (
+        np.array([refit.p for refit in fits]),
+        np.array([refit.theta for refit in fits]),
+        np.array([refit.consensus for refit in fits]),
+        np.array([refit.theta_clamped for refit in fits]),
+    )

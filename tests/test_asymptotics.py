@@ -9,6 +9,7 @@ import pytest
 from mallows_binomial import (
     Params,
     SufficientStats,
+    bootstrap,
     distance_mean_var,
     distance_variance,
     sample_dataset,
@@ -147,6 +148,24 @@ def test_coverage_study_small():
 def test_coverage_study_deterministic():
     kwargs = dict(n_judges=40, max_rating=5, n_replications=8, n_bootstrap=25, seed=13)
     assert coverage_study(SMALL, **kwargs) == coverage_study(SMALL, **kwargs)
+
+
+def test_coverage_study_starts_one_pool(monkeypatch):
+    # every replication's bootstrap shares one process pool, and the pool
+    # changes no number of the report
+    starts = []
+
+    class CountingPool(bootstrap.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(bootstrap, "ProcessPoolExecutor", CountingPool)
+    kwargs = dict(n_judges=40, max_rating=5, n_replications=4, n_bootstrap=25, seed=19)
+    parallel = coverage_study(SMALL, workers=2, **kwargs)
+    assert starts == [2]
+    assert parallel == coverage_study(SMALL, workers=1, **kwargs)
+    assert starts == [2]
 
 
 def test_coverage_interval_width_scales_with_judges():

@@ -124,6 +124,17 @@ def best_completion(stats, prefix, rest) -> float:
     )
 
 
+def decided_count(stats, prefix) -> int:
+    """Disagreements on the pairs a prefix decides, counted pair by pair."""
+    counts = stats.pair_counts
+    free = [o for o in range(stats.n_objects) if o not in prefix]
+    total = 0
+    for i, ahead in enumerate(prefix):
+        for behind in list(prefix[i + 1 :]) + free:
+            total += int(counts[behind, ahead])
+    return total
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n_objects=st.integers(3, 7),
@@ -141,12 +152,18 @@ def test_child_bounds_are_admissible(n_objects, n_judges, max_rating, theta, see
     # children of a prefix get bounds only while they leave two or more objects free
     prefix = tuple(int(o) for o in order[: min(depth, n_objects - 3)])
     free = np.array(sorted(set(range(n_objects)) - set(prefix)), dtype=np.intp)
-    bounds = _child_bounds(
-        stats, prefix, free, _free_rating_bounds(stats, DEFAULT_BOUNDS), DEFAULT_BOUNDS
+    bounds, child_decided = _child_bounds(
+        stats,
+        prefix,
+        free,
+        _free_rating_bounds(stats, DEFAULT_BOUNDS),
+        DEFAULT_BOUNDS,
+        decided_count(stats, prefix),
     )
-    assert bounds.shape == free.shape
-    for child, bound in zip(free.tolist(), bounds.tolist()):
+    assert bounds.shape == child_decided.shape == free.shape
+    for child, bound, count in zip(free.tolist(), bounds.tolist(), child_decided.tolist()):
         rest = tuple(o for o in free.tolist() if o != child)
+        assert count == decided_count(stats, prefix + (child,))
         best = best_completion(stats, prefix + (child,), rest)
         # rounding only: far below the search's pruning slack of 1e-7
         assert bound >= best - 1e-11 * (1.0 + abs(best)), (prefix, child, bound, best)

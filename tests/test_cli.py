@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from mallows_binomial import DEFAULT_BOUNDS, Params, sample_dataset
+from mallows_binomial import DEFAULT_BOUNDS, Params, cli, sample_dataset
 from mallows_binomial.cli import run
 from mallows_binomial.io import (
     read_dataset,
@@ -393,3 +393,26 @@ def test_cli_simulate_failed_second_write_leaves_whole_files(tmp_path, monkeypat
     assert np.array_equal(read_ratings(ratings), direct.ratings)
     assert rankings.read_text() == "earlier rankings\n"
     assert sorted(os.listdir(tmp_path)) == ["rankings.csv", "ratings.csv"]
+
+
+def test_cli_simulate_failed_rankings_write_changes_neither_file(tmp_path, monkeypatch, capsys):
+    # both files are written before either is renamed: a failed rankings
+    # write leaves both earlier files and no temporary behind
+    ratings = tmp_path / "ratings.csv"
+    rankings = tmp_path / "rankings.csv"
+    ratings.write_text("earlier ratings\n")
+    rankings.write_text("earlier rankings\n")
+    before = sorted(os.listdir(tmp_path))
+
+    def partial_write(path, rows):
+        with open(path, "w") as handle:
+            handle.write("1,2\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_rankings", partial_write)
+    status = run(SIMULATE + ["--ratings", str(ratings), "--rankings", str(rankings)])
+    assert status == 1
+    assert "disk full" in capsys.readouterr().err
+    assert ratings.read_text() == "earlier ratings\n"
+    assert rankings.read_text() == "earlier rankings\n"
+    assert sorted(os.listdir(tmp_path)) == before
