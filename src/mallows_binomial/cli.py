@@ -75,12 +75,6 @@ def _add_bounds_flags(parser: argparse.ArgumentParser) -> None:
         metavar="C,D",
         help="box for the concentration estimate",
     )
-    parser.add_argument(
-        "--exhaustive-cap",
-        type=int,
-        default=8,
-        help="largest object count fitted by full enumeration",
-    )
 
 
 def _add_truth_flags(parser: argparse.ArgumentParser) -> None:
@@ -196,7 +190,7 @@ def _common_config(args) -> dict:
 
 def _cmd_fit(args) -> dict:
     data = read_dataset(args.ratings, args.rankings, args.M)
-    result = fit(data, _bounds_of(args), exhaustive_cap=args.exhaustive_cap)
+    result = fit(data, _bounds_of(args))
     document = _fit_document(result)
     document.update(
         n_judges=data.n_judges, n_objects=data.n_objects, max_rating=data.max_rating
@@ -229,7 +223,6 @@ def _cmd_bootstrap(args) -> dict:
         alpha=args.alpha,
         seed=args.seed,
         bounds=_bounds_of(args),
-        exhaustive_cap=args.exhaustive_cap,
         workers=args.threads,
     )
     return _bootstrap_document(boot)
@@ -244,7 +237,6 @@ def _cmd_lan_check(args) -> dict:
         alpha=args.alpha,
         seed=args.seed,
         bounds=_bounds_of(args),
-        exhaustive_cap=args.exhaustive_cap,
     )
     return report.to_dict()
 
@@ -259,7 +251,6 @@ def _cmd_coverage(args) -> dict:
         alpha=args.alpha,
         seed=args.seed,
         bounds=_bounds_of(args),
-        exhaustive_cap=args.exhaustive_cap,
         workers=args.threads,
     )
     return report.to_dict()

@@ -299,6 +299,17 @@ def test_cli_bad_usage_exits_nonzero(capsys):
     capsys.readouterr()
 
 
+def test_cli_rejects_removed_exhaustive_cap_flag(tmp_path, capsys):
+    # the object count alone picks the search: there is no flag to move it
+    _, ratings, rankings = write_panel(tmp_path)
+    status = run(
+        ["fit", "--ratings", ratings, "--rankings", rankings, "--M", "5",
+         "--exhaustive-cap", "3"]
+    )
+    assert status == 2
+    assert "--exhaustive-cap" in capsys.readouterr().err
+
+
 def test_cli_invalid_bounds_fail(tmp_path, capsys):
     _, ratings, rankings = write_panel(tmp_path)
     status = run(
