@@ -118,7 +118,6 @@ def lan_check(
     alpha: float = 0.05,
     seed=0,
     bounds: ParamBounds = DEFAULT_BOUNDS,
-    exhaustive_cap: int = 8,
 ) -> CoverageReport:
     """Standardized-error coverage of the MLE at known true parameters.
 
@@ -137,7 +136,7 @@ def lan_check(
     recovered = np.empty(n_replications, dtype=bool)
     for r in range(n_replications):
         data = sample_dataset(params, n_judges, max_rating, derive_seed(seed, r, 0))
-        result = fit(data, bounds, exhaustive_cap=exhaustive_cap)
+        result = fit(data, bounds)
         p_z[r] = (result.p - params.p) / se.p
         theta_z[r] = (result.theta - params.theta) / se.theta
         recovered[r] = np.array_equal(result.consensus, truth)
@@ -170,7 +169,6 @@ def coverage_study(
     alpha: float = 0.10,
     seed=0,
     bounds: ParamBounds = DEFAULT_BOUNDS,
-    exhaustive_cap: int = 8,
     workers: int = 1,
 ) -> CoverageReport:
     """Empirical coverage of bootstrap percentile intervals.
@@ -199,7 +197,6 @@ def coverage_study(
                 alpha,
                 derive_seed(seed, r, 1),
                 bounds,
-                exhaustive_cap,
                 workers,
                 pool,
             )

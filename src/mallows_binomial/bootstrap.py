@@ -13,13 +13,14 @@ every replicate's sufficient statistics.  Every sum is an exact integer, so
 the statistics are bit for bit those of the resampled dataset, without
 building it.
 
-Replicates with at most ``exhaustive_cap`` objects are refitted as a stack:
-the exhaustive screen scores a block of replicates' candidates in one numpy
-pass, and one memo of concentration solves, keyed on the integer
-disagreement count, serves every replicate.  The results are those of
-fitting each replicate on its own.  Larger panels refit replicate by
-replicate with the best-first search.  With ``workers`` > 1, each worker
-process gets one job: a contiguous range of replicates.
+Replicates are refitted a block at a time by the estimator's stacked fit,
+with one memo of concentration solves, keyed on the integer disagreement
+count, for every replicate of a job.  The estimator picks the search from
+the object count, as :func:`fit` does: up to 8 objects the exhaustive screen
+scores a block of replicates' candidates in one numpy pass; larger panels
+are refitted one replicate per block with the best-first search.  The
+results are those of fitting each replicate on its own.  With ``workers`` >
+1, each worker process gets one job: a contiguous range of replicates.
 
 Replicate ``b`` draws from the dedicated stream ``(seed, b)``, so results are
 identical no matter how replicates are scheduled, and adding replicates
@@ -42,6 +43,7 @@ from .model import (
     SufficientStats,
     _freeze,
     _log_binom_levels,
+    _pair_indicators,
 )
 from .sampling import spawn_rng
 
@@ -117,12 +119,10 @@ class _JudgeTables:
     def from_dataset(cls, data: Dataset) -> "_JudgeTables":
         n_judges, n = data.ratings.shape
         levels = data.max_rating + 1
-        positions = np.argsort(data.rankings, axis=1)
-        pairs = positions[:, :, None] < positions[:, None, :]
         level_index = np.arange(n_judges)[:, None] * levels + data.ratings
         return cls(
             ratings=data.ratings,
-            pairs=pairs.reshape(n_judges, n * n).astype(np.int64),
+            pairs=_pair_indicators(data.rankings).reshape(n_judges, n * n).astype(np.int64),
             levels=np.bincount(level_index.ravel(), minlength=n_judges * levels).reshape(
                 n_judges, levels
             ),
@@ -163,28 +163,18 @@ class _JudgeTables:
 def _fit_replicates(job) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Refits of the replicates ``start..stop-1`` of one job, in order.
 
-    ``job`` is ``(tables, seed, bounds, exhaustive_cap, start, stop)``.
-    Up to ``exhaustive_cap`` objects, one screen block of replicates at a
-    time is built (so ``W`` never has more rows than a block) and refitted
-    as a stack, with one memo of concentration solves for the whole job;
-    larger panels refit replicate by replicate with :func:`fit`.  Returns
-    the stacked qualities, concentrations, consensus rankings and clamp
-    flags.
+    ``job`` is ``(tables, seed, bounds, start, stop)``.  One screen block
+    of replicates at a time is built (so ``W`` never has more rows than a
+    block) and refitted as a stack, with one memo of concentration solves
+    for the whole job.  Returns the stacked qualities, concentrations,
+    consensus rankings and clamp flags.
     """
-    tables, seed, bounds, exhaustive_cap, start, stop = job
-    n = tables.ratings.shape[1]
-    if n <= exhaustive_cap:
-        memo: dict = {}
-        size = _stack_block(n)
-        fits = []
-        for lo in range(start, stop, size):
-            stack = tables.replicates(seed, lo, min(lo + size, stop))
-            fits += _fit_stack(stack, bounds, memo)
-    else:
-        fits = [
-            fit(tables.replicate(seed, b), bounds, exhaustive_cap=exhaustive_cap)
-            for b in range(start, stop)
-        ]
+    tables, seed, bounds, start, stop = job
+    memo: dict = {}
+    size = _stack_block(tables.ratings.shape[1])
+    fits = []
+    for lo in range(start, stop, size):
+        fits += _fit_stack(tables.replicates(seed, lo, min(lo + size, stop)), bounds, memo)
     return (
         np.array([refit.p for refit in fits]),
         np.array([refit.theta for refit in fits]),
@@ -221,7 +211,6 @@ def bootstrap_fit(
     alpha: float = 0.10,
     seed=0,
     bounds: ParamBounds = DEFAULT_BOUNDS,
-    exhaustive_cap: int = 8,
     workers: int = 1,
 ) -> BootstrapResult:
     """Fit the model and bootstrap every parameter's percentile interval.
@@ -232,7 +221,7 @@ def bootstrap_fit(
     """
     n_replicates, workers = _check_bootstrap_args(n_replicates, alpha, workers)
     with _worker_pool(workers) as pool:
-        return _bootstrap(data, n_replicates, alpha, seed, bounds, exhaustive_cap, workers, pool)
+        return _bootstrap(data, n_replicates, alpha, seed, bounds, workers, pool)
 
 
 def _bootstrap(
@@ -241,16 +230,15 @@ def _bootstrap(
     alpha: float,
     seed,
     bounds: ParamBounds,
-    exhaustive_cap: int,
     workers: int,
     pool,
 ) -> BootstrapResult:
     """:func:`bootstrap_fit` for checked arguments, on ``pool`` when ``workers`` > 1."""
-    point = fit(data, bounds, exhaustive_cap=exhaustive_cap)
+    point = fit(data, bounds)
     tables = _JudgeTables.from_dataset(data)
     edges = np.linspace(0, n_replicates, workers + 1).round().astype(int).tolist()
     jobs = [
-        (tables, seed, bounds, exhaustive_cap, start, stop)
+        (tables, seed, bounds, start, stop)
         for start, stop in zip(edges, edges[1:])
         if start < stop
     ]

@@ -15,7 +15,9 @@ Both profile maximizers are available in closed form:
 The consensus itself is discrete.  :func:`fit_exhaustive` scores every
 permutation; :func:`fit_best_first` explores prefixes of the consensus with
 an upper bound on the best completion and provably returns the same optimum,
-usually after profiling a small fraction of the permutations.
+usually after profiling a small fraction of the permutations.  Which one
+runs is this module's decision alone: :func:`fit` and the bootstrap refits
+use the exhaustive screen up to 8 objects and the best-first search beyond.
 
 The exhaustive search is a screen in three steps, run over a stack of
 sufficient statistics that share the judge count, object count and rating
@@ -75,6 +77,8 @@ from .model import (
     ParamBounds,
     SufficientStats,
     _SERIES_CUTOFF,
+    _as_stats,
+    _disagreements,
     _loglik_from_stats,
     as_ranking,
     expected_distance,
@@ -92,15 +96,15 @@ __all__ = [
     "fit",
 ]
 
+# the most objects the exhaustive screen takes on; past it the J! candidates
+# cost more than the best-first search, whose cost depends on the panel
+_EXHAUSTIVE_MAX = 8
+
 # safety margin for pruning, in the best-first search and in the exhaustive
 # screen: bounds and screened scores are computed with different
 # floating-point operations than full profiles, so pruning must survive
 # rounding noise without ever discarding the true optimum
 _PRUNE_SLACK = 1e-7
-
-
-def _as_stats(data) -> SufficientStats:
-    return data if isinstance(data, SufficientStats) else SufficientStats.from_dataset(data)
 
 
 def constrained_p_mle(xbar, max_rating: int, order, bounds: ParamBounds = DEFAULT_BOUNDS):
@@ -306,18 +310,6 @@ def _rating_terms(xbar: np.ndarray, max_rating: int, bounds: ParamBounds) -> np.
     return np.sum(xbar * np.log(p) + (max_rating - xbar) * np.log1p(-p), axis=1)
 
 
-def _disagreements(pair_counts: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """Judge-pair disagreement counts (exact integers), one row per statistics.
-
-    ``pair_counts`` stacks ``J x J`` count matrices; entry ``[s, c]`` of the
-    result is statistics ``s``'s count against row ``c`` of ``perms``.
-    """
-    n = perms.shape[1]
-    ahead, behind = np.triu_indices(n, 1)
-    flat = pair_counts.reshape(pair_counts.shape[0], n * n)
-    return flat[:, perms[:, behind] * n + perms[:, ahead]].sum(axis=2)
-
-
 def _undominated(rating: np.ndarray, disagreements: np.ndarray) -> np.ndarray:
     """Mask of the candidates that no other candidate with a ``D`` no larger
     beats on ``R`` by more than the slack.
@@ -374,19 +366,34 @@ def _screen_survivors(stack: list[SufficientStats], bounds: ParamBounds):
 
 def _fit_stack(
     stack: list[SufficientStats], bounds: ParamBounds, memo: dict
-) -> list[ProfileFit]:
-    """Exhaustive joint MLE for every statistics in ``stack``, in order.
+) -> list[FitResult]:
+    """Joint MLE for every statistics in ``stack``, in order.
 
     The statistics must share the object count, judge count and rating
     scale; ``memo`` caches concentration solves for that judge count, object
-    count and ``bounds`` (:func:`_concentration`).  Statistics go through
-    the screen a block at a time; each one's result is the one
-    :func:`fit_exhaustive` gives it alone.
+    count and ``bounds`` (:func:`_concentration`), and every profile reads
+    it.  Up to ``_EXHAUSTIVE_MAX`` objects, statistics go through the screen
+    a block at a time, and each one's result is the one
+    :func:`fit_exhaustive` gives it alone; past it, each is fitted by
+    :func:`fit_best_first`.  The memo is exact, so neither changes a bit.
     """
+    token = _stack_solves.set(memo)
+    try:
+        if stack[0].n_objects > _EXHAUSTIVE_MAX:
+            return [fit_best_first(stats, bounds) for stats in stack]
+        return _screen_stack(stack, bounds, memo)
+    finally:
+        _stack_solves.reset(token)
+
+
+def _screen_stack(
+    stack: list[SufficientStats], bounds: ParamBounds, memo: dict
+) -> list[FitResult]:
+    """The exhaustive screen of :func:`_fit_stack`."""
     n = stack[0].n_objects
     n_judges = stack[0].n_judges
     size = _stack_block(n)
-    fits: list[ProfileFit] = []
+    fits: list[FitResult] = []
     for start in range(0, len(stack), size):
         block = stack[start : start + size]
         owner, perms, rating, disagreements = _screen_survivors(block, bounds)
@@ -402,39 +409,32 @@ def _fit_stack(
         # lexicographic order with a strict ">", reading the same memo
         best: list[ProfileFit | None] = [None] * len(block)
         contenders = score >= floor[owner]
-        token = _stack_solves.set(memo)
-        try:
-            for s, perm in zip(owner[contenders].tolist(), perms[contenders]):
-                candidate = profile_loglik(block[s], perm, bounds)
-                if best[s] is None or candidate.loglik > best[s].loglik:
-                    best[s] = candidate
-        finally:
-            _stack_solves.reset(token)
-        fits += best
+        for s, perm in zip(owner[contenders].tolist(), perms[contenders]):
+            candidate = profile_loglik(block[s], perm, bounds)
+            if best[s] is None or candidate.loglik > best[s].loglik:
+                best[s] = candidate
+        fits += [_result(winner, "exhaustive", math.factorial(n), 0) for winner in best]
     return fits
 
 
-def fit_exhaustive(
-    data, bounds: ParamBounds = DEFAULT_BOUNDS, exhaustive_cap: int = 8
-) -> FitResult:
+def fit_exhaustive(data, bounds: ParamBounds = DEFAULT_BOUNDS) -> FitResult:
     """Joint MLE over every consensus permutation.
 
     Ties in the profiled log-likelihood go to the lexicographically smallest
     consensus.  Every permutation is scored by the screen described in the
     module docstring; only those within the slack of the best get a full
     profile, and the result is the one profiling all of them would give.
-    Refuses to run past ``exhaustive_cap`` objects (the candidate count grows
-    factorially); use :func:`fit_best_first` there instead.
+    Refuses to run past 8 objects (the candidate count grows factorially);
+    use :func:`fit_best_first` there instead.
     """
     stats = _as_stats(data)
     n = stats.n_objects
-    if n > exhaustive_cap:
+    if n > _EXHAUSTIVE_MAX:
         raise ValueError(
             f"exhaustive search over {n} objects means {n}! candidates; "
-            "raise exhaustive_cap or use fit_best_first"
+            "use fit_best_first"
         )
-    (best,) = _fit_stack([stats], bounds, {})
-    return _result(best, "exhaustive", math.factorial(n), 0)
+    return _fit_stack([stats], bounds, {})[0]
 
 
 def _free_rating_bounds(stats: SufficientStats, bounds: ParamBounds) -> np.ndarray:
@@ -630,23 +630,19 @@ def fit_best_first(data, bounds: ParamBounds = DEFAULT_BOUNDS) -> FitResult:
     return _result(best, "best_first", candidates, nodes)
 
 
-def fit(
-    data,
-    bounds: ParamBounds = DEFAULT_BOUNDS,
-    method: str = "auto",
-    exhaustive_cap: int = 8,
-) -> FitResult:
+def fit(data, bounds: ParamBounds = DEFAULT_BOUNDS, method: str = "auto") -> FitResult:
     """Joint MLE of consensus, qualities, and concentration.
 
     ``method`` is ``"exhaustive"``, ``"best-first"``, or ``"auto"`` (the
-    default), which profiles every permutation up to ``exhaustive_cap``
-    objects and switches to the equivalent best-first search beyond that.
+    default), which screens every permutation up to 8 objects and runs the
+    equivalent best-first search beyond that.  The bootstrap refits its
+    replicates with the same rule.
     """
     stats = _as_stats(data)
     if method == "auto":
-        method = "exhaustive" if stats.n_objects <= exhaustive_cap else "best-first"
+        return _fit_stack([stats], bounds, {})[0]
     if method == "exhaustive":
-        return fit_exhaustive(stats, bounds, exhaustive_cap)
+        return fit_exhaustive(stats, bounds)
     if method == "best-first":
         return fit_best_first(stats, bounds)
     raise ValueError(f"unknown method {method!r}; use auto, exhaustive, or best-first")

@@ -88,12 +88,12 @@ def read_rankings(path, n_objects: int | None = None) -> np.ndarray:
         [_parse_int_row(path, line_no, row, width) for line_no, row in enumerate(rows, 1)],
         dtype=np.int64,
     )
-    for line_no, row in enumerate(parsed, 1):
-        if sorted(row.tolist()) != list(range(1, width + 1)):
-            raise ValueError(
-                f"{path}, line {line_no}: ranking {row.tolist()} must use each "
-                f"label 1..{width} exactly once"
-            )
+    bad = np.flatnonzero(np.any(np.sort(parsed, axis=1) != np.arange(1, width + 1), axis=1))
+    if bad.size:
+        raise ValueError(
+            f"{path}, line {bad[0] + 1}: ranking {parsed[bad[0]].tolist()} must use each "
+            f"label 1..{width} exactly once"
+        )
     return parsed - 1
 
 

@@ -18,6 +18,7 @@ exhaustive sums over all ``J!`` permutations exist only as test oracles.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -365,6 +366,31 @@ def _log_binom_levels(max_rating: int) -> np.ndarray:
     return gammaln(max_rating + 1) - gammaln(levels + 1) - gammaln(max_rating - levels + 1)
 
 
+def _pair_indicators(rankings: np.ndarray) -> np.ndarray:
+    """``I x J x J`` booleans: entry ``[i, u, v]`` says judge ``i`` ranks ``u``
+    before ``v``."""
+    positions = np.argsort(rankings, axis=1)
+    return positions[:, :, None] < positions[:, None, :]
+
+
+@functools.lru_cache(maxsize=64)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column indices of the pairs ``i < j`` of ``n`` ranks."""
+    return tuple(_freeze(index) for index in np.triu_indices(n, 1))
+
+
+def _disagreements(pair_counts: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Judge-pair disagreement counts (exact integers), one row per statistics.
+
+    ``pair_counts`` stacks ``J x J`` count matrices; entry ``[s, c]`` of the
+    result is statistics ``s``'s count against row ``c`` of ``perms``.
+    """
+    n = perms.shape[1]
+    ahead, behind = _upper_pairs(n)
+    flat = pair_counts.reshape(pair_counts.shape[0], n * n)
+    return flat[:, perms[:, behind] * n + perms[:, ahead]].sum(axis=2)
+
+
 @dataclass(frozen=True)
 class SufficientStats:
     """Everything the log-likelihood needs, extracted once per dataset.
@@ -384,10 +410,7 @@ class SufficientStats:
 
     @classmethod
     def from_dataset(cls, data: Dataset) -> "SufficientStats":
-        positions = np.argsort(data.rankings, axis=1)
-        pair_counts = (positions[:, :, None] < positions[:, None, :]).sum(
-            axis=0, dtype=np.int64
-        )
+        pair_counts = _pair_indicators(data.rankings).sum(axis=0, dtype=np.int64)
         counts = np.bincount(data.ratings.ravel(), minlength=data.max_rating + 1)
         return cls(
             xbar=_freeze(data.ratings.mean(axis=0)),
@@ -412,10 +435,12 @@ class SufficientStats:
     def _disagreements_with(self, order: np.ndarray) -> int:
         """Judge-pair disagreements with an already validated ranking (an
         exact integer: ``n_judges`` times the mean distance)."""
-        sub = self.pair_counts[np.ix_(order, order)]
-        # entry (j, i) below the diagonal counts judges that disagree with
-        # consensus on the pair (order[i], order[j])
-        return int(np.tril(sub, -1).sum())
+        return int(_disagreements(self.pair_counts[None], order[None])[0, 0])
+
+
+def _as_stats(data) -> SufficientStats:
+    """``data`` itself when it is :class:`SufficientStats`, else its statistics."""
+    return data if isinstance(data, SufficientStats) else SufficientStats.from_dataset(data)
 
 
 def _loglik_from_stats(stats: SufficientStats, p, theta: float, dbar: float) -> float:
@@ -439,7 +464,7 @@ def log_likelihood(data, params: Params, consensus=None) -> float:
 
     ``data`` may be a :class:`Dataset` or precomputed :class:`SufficientStats`.
     """
-    stats = data if isinstance(data, SufficientStats) else SufficientStats.from_dataset(data)
+    stats = _as_stats(data)
     if params.n_objects != stats.n_objects:
         raise ValueError(
             f"params have {params.n_objects} objects, dataset has {stats.n_objects}"

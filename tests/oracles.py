@@ -12,7 +12,8 @@ The exceptions are the searches as scalar loops:
 They call the package's ``profile_loglik`` and ``fit`` on purpose: the
 screened exhaustive search, the batched best-first search and the stacked
 bootstrap refits must reproduce them bit for bit, not merely within a
-tolerance.
+tolerance.  :func:`small_panels` is the hypothesis strategy of small
+degenerate panels that those comparisons share.
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ import itertools
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression
 
 from mallows_binomial import (
     DEFAULT_BOUNDS,
+    Dataset,
     SufficientStats,
     fit,
     log_psi,
@@ -328,20 +331,42 @@ def fit_best_first_loop(data, bounds=DEFAULT_BOUNDS):
     return best, candidates, nodes
 
 
-def bootstrap_replicates_loop(data, n_replicates, seed, bounds=DEFAULT_BOUNDS, exhaustive_cap=8):
+def bootstrap_replicates_loop(data, n_replicates, seed, bounds=DEFAULT_BOUNDS):
     """Bootstrap refits one ``fit`` call per replicate, in replicate order.
 
     Returns the qualities, concentrations, consensus rankings and clamp
     flags of replicates ``0..n_replicates-1`` as stacked arrays.
     """
     tables = _JudgeTables.from_dataset(data)
-    fits = [
-        fit(tables.replicate(seed, b), bounds, exhaustive_cap=exhaustive_cap)
-        for b in range(n_replicates)
-    ]
+    fits = [fit(tables.replicate(seed, b), bounds) for b in range(n_replicates)]
     return (
         np.array([refit.p for refit in fits]),
         np.array([refit.theta for refit in fits]),
         np.array([refit.consensus for refit in fits]),
         np.array([refit.theta_clamped for refit in fits]),
     )
+
+
+@st.composite
+def small_panels(draw):
+    """Small panels in the degenerate shapes: one judge, unanimous judges,
+    constant ratings, M = 1 and exact J!-way ties."""
+    n = draw(st.integers(2, 5))
+    shape = draw(st.sampled_from(["any", "one judge", "unanimous", "constant", "ties"]))
+    n_judges = 1 if shape == "one judge" else draw(st.integers(2, 12))
+    max_rating = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    ratings = rng.integers(0, max_rating + 1, size=(n_judges, n))
+    rankings = np.array([rng.permutation(n) for _ in range(n_judges)])
+    if shape == "unanimous":
+        rankings[:] = rankings[0]
+    if shape in ("constant", "ties"):
+        ratings[:] = draw(st.integers(0, max_rating))
+    if shape == "ties":
+        # each ranking beside its reverse: every candidate has the same
+        # disagreement count, so all J! candidates tie exactly
+        rankings[1::2] = rankings[0::2][: n_judges // 2, ::-1]
+        if n_judges % 2:
+            rankings = rankings[:-1]
+            ratings = ratings[:-1]
+    return Dataset(ratings=ratings, rankings=rankings, max_rating=max_rating)

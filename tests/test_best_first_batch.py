@@ -37,7 +37,7 @@ from mallows_binomial.estimation import (
     _free_rating_bounds,
 )
 
-from .oracles import fit_best_first_loop
+from .oracles import fit_best_first_loop, small_panels
 from .test_exhaustive_screen import degenerate_panels, seeded_panel
 
 
@@ -110,6 +110,12 @@ def test_degenerate_panels_match_loop_and_exhaustive():
         if wrong := same_fit(fit_best_first(data), fit_exhaustive(data)):
             problems.append(f"J={data.n_objects} vs exhaustive: {wrong}")
     assert not problems, problems
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=small_panels())
+def test_small_degenerate_panels_match_exhaustive(data):
+    assert not same_fit(fit_best_first(data), fit_exhaustive(data))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Stacked bootstrap refits against the replicate-by-replicate loop.
 
-``bootstrap_fit`` refits every replicate with at most ``exhaustive_cap``
-objects through one stacked exhaustive screen, with one memo of
-concentration solves.  The loop that calls ``fit`` once per replicate
+``bootstrap_fit`` refits a block of replicates at a time through the
+estimator's stacked fit (one exhaustive screen up to 8 objects, the
+best-first search beyond), with one memo of concentration solves.  The loop
+that calls ``fit`` once per replicate
 (``oracles.bootstrap_replicates_loop``) is the reference: the qualities,
 concentrations, consensus rankings and clamp flags of every replicate must
 agree bit for bit, for any replicate count, worker count and panel shape.
@@ -15,23 +16,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mallows_binomial import DEFAULT_BOUNDS, Dataset, Params, estimation, sample_dataset
+from mallows_binomial import DEFAULT_BOUNDS, Dataset, Params, estimation, fit, sample_dataset
 from mallows_binomial.bootstrap import _fit_replicates, _JudgeTables, bootstrap_fit
 
-from .oracles import bootstrap_replicates_loop
+from .oracles import bootstrap_replicates_loop, small_panels
 from .test_exhaustive_screen import degenerate_panels, seeded_panel
 
 FIELDS = ("p", "theta", "consensus", "theta_clamped")
 
 
-def replicate_mismatch(data, n_replicates, seed, exhaustive_cap=8, expected=None) -> list[str]:
+def replicate_mismatch(data, n_replicates, seed, expected=None) -> list[str]:
     """Fields on which the stacked refits differ from the loop's refits."""
-    job = (_JudgeTables.from_dataset(data), seed, DEFAULT_BOUNDS, exhaustive_cap, 0, n_replicates)
+    job = (_JudgeTables.from_dataset(data), seed, DEFAULT_BOUNDS, 0, n_replicates)
     stacked = _fit_replicates(job)
     if expected is None:
-        expected = bootstrap_replicates_loop(
-            data, n_replicates, seed, exhaustive_cap=exhaustive_cap
-        )
+        expected = bootstrap_replicates_loop(data, n_replicates, seed)
     return [
         f"J={data.n_objects} I={data.n_judges} B={n_replicates}: {name}"
         for name, got, want in zip(FIELDS, stacked, expected)
@@ -90,31 +89,6 @@ def test_degenerate_panels_match_loop():
     assert not problems, problems
 
 
-@st.composite
-def small_panels(draw):
-    """Small panels in the degenerate shapes: one judge, unanimous judges,
-    constant ratings, M = 1 and exact J!-way ties."""
-    n = draw(st.integers(2, 5))
-    shape = draw(st.sampled_from(["any", "one judge", "unanimous", "constant", "ties"]))
-    n_judges = 1 if shape == "one judge" else draw(st.integers(2, 12))
-    max_rating = draw(st.integers(1, 4))
-    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    ratings = rng.integers(0, max_rating + 1, size=(n_judges, n))
-    rankings = np.array([rng.permutation(n) for _ in range(n_judges)])
-    if shape == "unanimous":
-        rankings[:] = rankings[0]
-    if shape in ("constant", "ties"):
-        ratings[:] = draw(st.integers(0, max_rating))
-    if shape == "ties":
-        # each ranking beside its reverse: every candidate has the same
-        # disagreement count, so all J! candidates tie exactly
-        rankings[1::2] = rankings[0::2][: n_judges // 2, ::-1]
-        if n_judges % 2:
-            rankings = rankings[:-1]
-            ratings = ratings[:-1]
-    return Dataset(ratings=ratings, rankings=rankings, max_rating=max_rating)
-
-
 @settings(max_examples=40, deadline=None)
 @given(data=small_panels(), n_replicates=st.integers(1, 30), seed=st.integers(0, 2**31 - 1))
 def test_small_degenerate_panels_match_loop(data, n_replicates, seed):
@@ -129,12 +103,13 @@ def test_bootstrap_fit_matches_loop_for_any_worker_count(workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_cap_below_object_count_keeps_best_first(workers):
-    data = sample_dataset(Params(p=[0.2, 0.35, 0.5, 0.65, 0.8], theta=0.8), 40, 4, seed=89)
-    assert not replicate_mismatch(data, 20, seed=97, exhaustive_cap=4)
-    result = bootstrap_fit(data, n_replicates=20, seed=97, exhaustive_cap=4, workers=workers)
-    expected = bootstrap_replicates_loop(data, 20, seed=97, exhaustive_cap=4)
-    assert not result_mismatch(result, expected)
+def test_nine_objects_refit_best_first_like_the_loop(workers):
+    # past 8 objects the stacked fit runs the best-first search per replicate
+    data = sample_dataset(Params(p=np.linspace(0.15, 0.85, 9), theta=0.8), 40, 4, seed=89)
+    assert fit(data).method == "best_first"
+    assert not replicate_mismatch(data, 20, seed=97)
+    result = bootstrap_fit(data, n_replicates=20, seed=97, workers=workers)
+    assert not result_mismatch(result, bootstrap_replicates_loop(data, 20, seed=97))
 
 
 def test_memo_solves_theta_once_per_distinct_count(monkeypatch):
@@ -147,7 +122,7 @@ def test_memo_solves_theta_once_per_distinct_count(monkeypatch):
         return theta_mle(dbar, n_objects, bounds)
 
     monkeypatch.setattr(estimation, "theta_mle", counted)
-    job = (_JudgeTables.from_dataset(data), 103, DEFAULT_BOUNDS, 8, 0, 300)
+    job = (_JudgeTables.from_dataset(data), 103, DEFAULT_BOUNDS, 0, 300)
     _fit_replicates(job)
     stacked = len(calls)
     assert stacked == len(set(calls))
@@ -161,7 +136,7 @@ def test_seven_objects_memory_is_bounded():
     tables = _JudgeTables.from_dataset(data)
     tracemalloc.start()
     try:
-        _fit_replicates((tables, 109, DEFAULT_BOUNDS, 8, 0, 50))
+        _fit_replicates((tables, 109, DEFAULT_BOUNDS, 0, 50))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -102,6 +102,16 @@ def test_read_rankings_rejects_zero_based_rows(tmp_path):
         read_rankings(path)
 
 
+def test_read_rankings_reports_first_of_two_bad_rows(tmp_path):
+    path = tmp_path / "k.csv"
+    path.write_text("1,2,3\n3,2,1\n1,1,2\n2,1,3\n4,1,2\n")
+    with pytest.raises(ValueError) as error:
+        read_rankings(path)
+    assert str(error.value) == (
+        f"{path}, line 3: ranking [1, 1, 2] must use each label 1..3 exactly once"
+    )
+
+
 def test_read_dataset_names_judge_count_mismatch(tmp_path):
     _, ratings_path, rankings_path = write_panel(tmp_path, n_judges=10)
     short = tmp_path / "short.csv"

@@ -332,7 +332,12 @@ def test_fit_dispatch():
     data = random_dataset(rng, 8, 3, 4)
     assert fit(data).method == "exhaustive"
     assert fit(data, method="best-first").method == "best_first"
-    assert fit(data, exhaustive_cap=2).method == "best_first"
+    # past 8 objects "auto" runs the best-first search
+    nine = sample_dataset(Params(p=np.linspace(0.1, 0.9, 9), theta=1.0), 30, 4, seed=2)
+    auto, best_first = fit(nine), fit_best_first(nine)
+    assert auto.method == "best_first"
+    assert auto.nodes_expanded == best_first.nodes_expanded
+    assert auto.loglik == best_first.loglik
     with pytest.raises(ValueError, match="unknown method"):
         fit(data, method="grid")
 
