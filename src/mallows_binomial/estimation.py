@@ -96,8 +96,9 @@ __all__ = [
     "fit",
 ]
 
-# the most objects the exhaustive screen takes on; past it the J! candidates
-# cost more than the best-first search, whose cost depends on the panel
+# the most objects the exhaustive screen takes on.  Its cost grows as J!,
+# best-first's with how flat the panel is, and at 7 or 8 objects each is the
+# faster one on some panels, so no threshold wins everywhere
 _EXHAUSTIVE_MAX = 8
 
 # safety margin for pruning, in the best-first search and in the exhaustive
