@@ -46,21 +46,22 @@ max_theta [-theta d - log psi(theta)]``, which cannot increase with ``d``.
    reported number are those of that loop.
 
 The best-first search bounds all children of a prefix in one pass with the
-same decomposition.  ``R`` comes from the screen's kernel applied to the
-children's chains (the prefix plus one object), plus the unconstrained
-rating maxima of the objects each child leaves free.  ``D`` is lowered to an
-exact integer minimum over completions: the pairs a child decides count
-their disagreements, and each undecided pair counts the smaller of its two
-orders; a child's decided count is its parent's plus the disagreements on
-the child's pairs with the other free objects, carried in the queue entry.
-``g`` comes from a vectorised solve (a cached grid of the expected distance
-brackets each root, and Newton steps finish it).  Full rankings
-still get the scalar :func:`profile_loglik`, so the search returns the same
-result, node count and profile count as bounding one child at a time.
+same decomposition.  The screen's kernel scores each child as one full
+ranking: the prefix, the child, then the other free objects by ascending
+mean rating.  Every completion keeps the free objects above the chain, and
+under that tree order the best ``R`` is the isotonic fit along this ranking
+(Robertson, Wright & Dykstra 1988), so ``R`` is exact.  Only ``D`` is
+relaxed, to its exact integer minimum over completions: decided pairs count
+their disagreements, undecided ones the smaller of their two orders.  ``g``
+comes from a vectorised solve (a cached grid of the expected distance
+brackets each root, and Newton steps finish it).  Full rankings get the
+scalar :func:`profile_loglik`, with one memo of solves per search, so the
+search returns the same result and counts as bounding one child at a time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import functools
 import heapq
@@ -193,13 +194,22 @@ def profile_loglik(
     )
 
 
-# the concentration memo of the stacked fit running in this context, if any.
-# Its profiles go through the public profile_loglik, which keeps its
-# signature (wrappers of it, such as bench/tracing.py, see every profile),
-# and read the solves of the screen from here; _fit_stack sets and resets it
+# the concentration memo of the fit running in this context, if any.  Its
+# profiles go through the public profile_loglik, which keeps its signature
+# (wrappers of it, such as bench/tracing.py, see every profile), and read
+# the solves from here; _sharing_solves sets and resets it
 _stack_solves: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "_stack_solves", default=None
 )
+
+
+@contextlib.contextmanager
+def _sharing_solves(memo: dict):
+    token = _stack_solves.set(memo)
+    try:
+        yield
+    finally:
+        _stack_solves.reset(token)
 
 
 def _concentration(
@@ -378,13 +388,10 @@ def _fit_stack(
     :func:`fit_exhaustive` gives it alone; past it, each is fitted by
     :func:`fit_best_first`.  The memo is exact, so neither changes a bit.
     """
-    token = _stack_solves.set(memo)
-    try:
+    with _sharing_solves(memo):
         if stack[0].n_objects > _EXHAUSTIVE_MAX:
             return [fit_best_first(stats, bounds) for stats in stack]
         return _screen_stack(stack, bounds, memo)
-    finally:
-        _stack_solves.reset(token)
 
 
 def _screen_stack(
@@ -436,12 +443,6 @@ def fit_exhaustive(data, bounds: ParamBounds = DEFAULT_BOUNDS) -> FitResult:
             "use fit_best_first"
         )
     return _fit_stack([stats], bounds, {})[0]
-
-
-def _free_rating_bounds(stats: SufficientStats, bounds: ParamBounds) -> np.ndarray:
-    """Per-object rating-term maxima with no order constraint at all."""
-    means = np.clip(stats.xbar / stats.max_rating, bounds.p_min, bounds.p_max)
-    return stats.xbar * np.log(means) + (stats.max_rating - stats.xbar) * np.log1p(-means)
 
 
 def _distance_moments(theta: np.ndarray, n_objects: int):
@@ -532,7 +533,6 @@ def _child_bounds(
     stats: SufficientStats,
     prefix: tuple[int, ...],
     free: np.ndarray,
-    free_rating: np.ndarray,
     bounds: ParamBounds,
     decided: int,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -540,21 +540,21 @@ def _child_bounds(
     every child ``prefix + (c,)``, for ``c`` in ``free`` (same order), and
     each child's decided disagreement count.
 
-    ``decided`` counts the disagreements on the pairs the prefix decides:
-    the pairs within it and those between it and the free objects.
-    Relaxations: objects left free after the child drop their order
-    constraints entirely (keeping only the box), and the mean distance is
-    lowered to its minimum over completions, with the concentration then
-    chosen optimally for that minimum.  Every relaxation only raises the
-    value, so no completion can beat its child's bound.
+    ``free`` must be in ascending order of mean rating.  ``decided`` counts
+    the disagreements on the pairs the prefix decides: the pairs within it
+    and those between it and the free objects.  The rating term is exact
+    (see the module docstring); the mean distance is lowered to its minimum
+    over completions, with the concentration then optimal for it, which
+    only raises the value, so no completion can beat its child's bound.
     """
-    chains = np.empty((free.size, len(prefix) + 1), dtype=np.intp)
-    chains[:, :-1] = prefix
-    chains[:, -1] = free
-    # rating term: exact order-constrained maximum along each child's chain,
-    # unconstrained per-object maxima for the objects it leaves free
-    rest = free_rating[free]
-    rating = _rating_terms(stats.xbar[chains], stats.max_rating, bounds) + (rest.sum() - rest)
+    k, depth = free.size, len(prefix)
+    step = np.arange(k - 1)
+    perms = np.empty((k, stats.n_objects), dtype=np.intp)
+    perms[:, :depth] = prefix
+    perms[:, depth] = free
+    # row i's tail: the free objects other than free[i], still ascending
+    perms[:, depth + 1 :] = free[step + (step >= np.arange(k)[:, None])]
+    rating = _rating_terms(stats.xbar[perms], stats.max_rating, bounds)
     # ranking term (exact integers): each child also decides its pairs with
     # the other free objects; the pairs it leaves undecided count the
     # smaller order
@@ -571,20 +571,22 @@ def fit_best_first(data, bounds: ParamBounds = DEFAULT_BOUNDS) -> FitResult:
 
     Maintains a queue of consensus prefixes ordered by an upper bound on the
     log-likelihood of any completion, expands the most promising prefix, and
-    profiles full rankings as they appear.  Expanding a prefix bounds all of
-    its children in one batch (:func:`_child_bounds`, see the module
-    docstring); a prefix with two free objects left profiles both
-    completions instead.  Pruning keeps a small slack under the incumbent so
-    floating-point noise in the bound can never discard an optimal branch,
-    and exact ties go to the lexicographically smallest consensus.  Returns
-    the same optimum as :func:`fit_exhaustive`.
+    profiles full rankings as they appear, with one memo of concentration
+    solves.  Expanding a prefix bounds all of its children in one batch,
+    exact in the rating term and relaxed in the mean distance
+    (:func:`_child_bounds`); a prefix with two free objects left profiles
+    both completions instead.  Pruning keeps a small slack under the
+    incumbent so floating-point noise in the bound can never discard an
+    optimal branch, and exact ties go to the lexicographically smallest
+    consensus.  Returns the same optimum as :func:`fit_exhaustive`.
     """
     stats = _as_stats(data)
-    n = stats.n_objects
-    free_rating = _free_rating_bounds(stats, bounds)
-    # (-bound, prefix, decided disagreements): prefixes are unique, so the
-    # count is never compared
-    queue: list[tuple[float, tuple[int, ...], int]] = []
+    # free objects go in ascending order of mean rating, as _child_bounds
+    # needs them; the heap and the tie rule never see that order
+    ascending = np.argsort(stats.xbar, kind="stable").tolist()
+    # (-bound, prefix, decided disagreements), from the root: prefixes are
+    # unique, so the count is never compared
+    queue: list[tuple[float, tuple[int, ...], int]] = [(-math.inf, (), 0)]
     best: ProfileFit | None = None
     candidates = 0
     nodes = 0
@@ -603,31 +605,26 @@ def fit_best_first(data, bounds: ParamBounds = DEFAULT_BOUNDS) -> FitResult:
         ):
             best = candidate
 
-    def expand(prefix: tuple[int, ...], free: np.ndarray, decided: int):
-        nonlocal nodes
-        nodes += 1
-        if free.size <= 2:
-            for obj in free.tolist():
-                consider(prefix + (obj,) + tuple(free[free != obj].tolist()))
-            return
-        child_bounds, child_decided = _child_bounds(
-            stats, prefix, free, free_rating, bounds, decided
-        )
-        floor = -math.inf if best is None else best.loglik - slack()
-        for obj, bound, count in zip(
-            free.tolist(), child_bounds.tolist(), child_decided.tolist()
-        ):
-            if bound >= floor:
-                heapq.heappush(queue, (-bound, prefix + (obj,), count))
-
-    expand((), np.arange(n, dtype=np.intp), 0)
-    while queue:
-        neg_bound, prefix, decided = heapq.heappop(queue)
-        if best is not None and -neg_bound < best.loglik - slack():
-            break
-        prefix_set = set(prefix)
-        free = np.array([o for o in range(n) if o not in prefix_set], dtype=np.intp)
-        expand(prefix, free, decided)
+    memo = _stack_solves.get()
+    with _sharing_solves({} if memo is None else memo):
+        while queue:
+            neg_bound, prefix, decided = heapq.heappop(queue)
+            if best is not None and -neg_bound < best.loglik - slack():
+                break
+            nodes += 1
+            prefix_set = set(prefix)
+            free = np.array([o for o in ascending if o not in prefix_set], dtype=np.intp)
+            if free.size <= 2:
+                for obj in free.tolist():
+                    consider(prefix + (obj,) + tuple(free[free != obj].tolist()))
+                continue
+            child_bounds, child_decided = _child_bounds(stats, prefix, free, bounds, decided)
+            floor = -math.inf if best is None else best.loglik - slack()
+            for obj, bound, count in zip(
+                free.tolist(), child_bounds.tolist(), child_decided.tolist()
+            ):
+                if bound >= floor:
+                    heapq.heappush(queue, (-bound, prefix + (obj,), count))
     return _result(best, "best_first", candidates, nodes)
 
 

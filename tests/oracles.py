@@ -36,7 +36,7 @@ from mallows_binomial import (
     theta_mle,
 )
 from mallows_binomial.bootstrap import _JudgeTables
-from mallows_binomial.estimation import _PRUNE_SLACK, _free_rating_bounds
+from mallows_binomial.estimation import _PRUNE_SLACK
 
 
 def kendall_naive(a, b) -> int:
@@ -238,28 +238,25 @@ def fit_exhaustive_loop(data, bounds=DEFAULT_BOUNDS):
     return best, count
 
 
-def prefix_bound(stats, prefix, free, free_rating, bounds) -> float:
+def prefix_bound(stats, prefix, free, bounds) -> float:
     """Upper bound on the profile log-likelihood over completions of ``prefix``.
 
-    Relaxations: free objects drop their order constraints entirely
-    (keeping only the box), and the mean distance is lowered to its minimum
-    over completions, with the concentration then chosen optimally for that
-    minimum.  Every relaxation only raises the value, so no completion can
-    beat the bound.
+    The rating term is the order-constrained maximum along the prefix
+    followed by the free objects in ascending order of mean rating, which is
+    the best over every completion.  The mean distance is lowered to its
+    minimum over completions, with the concentration then chosen optimally
+    for that minimum, which only raises the value, so no completion can beat
+    the bound.
     """
-    prefix_arr = np.asarray(prefix, dtype=np.intp)
-    # rating term: exact order-constrained maximum on the prefix chain,
-    # unconstrained per-object maxima for the rest
-    rating = float(np.sum(free_rating[free]))
-    if prefix_arr.size:
-        chain = isotonic_regression(
-            stats.xbar[prefix_arr] / stats.max_rating, increasing=True
-        ).x
-        chain = np.clip(chain, bounds.p_min, bounds.p_max)
-        rating += float(
-            stats.xbar[prefix_arr] @ np.log(chain)
-            + (stats.max_rating - stats.xbar[prefix_arr]) @ np.log1p(-chain)
-        )
+    order = np.concatenate(
+        [np.asarray(prefix, dtype=np.intp), free[np.argsort(stats.xbar[free], kind="stable")]]
+    )
+    fitted = isotonic_regression(stats.xbar[order] / stats.max_rating, increasing=True).x
+    fitted = np.clip(fitted, bounds.p_min, bounds.p_max)
+    rating = float(
+        stats.xbar[order] @ np.log(fitted)
+        + (stats.max_rating - stats.xbar[order]) @ np.log1p(-fitted)
+    )
     # ranking term: decided pairs contribute their actual disagreement
     # counts, undecided pairs the smaller of the two
     n = stats.n_objects
@@ -287,7 +284,6 @@ def fit_best_first_loop(data, bounds=DEFAULT_BOUNDS):
     """
     stats = data if isinstance(data, SufficientStats) else SufficientStats.from_dataset(data)
     n = stats.n_objects
-    free_rating = _free_rating_bounds(stats, bounds)
     queue = []
     best = None
     candidates = 0
@@ -316,7 +312,7 @@ def fit_best_first_loop(data, bounds=DEFAULT_BOUNDS):
             if len(child) >= n - 1:
                 consider(child + tuple(int(r) for r in rest))
             else:
-                bound = prefix_bound(stats, child, rest, free_rating, bounds)
+                bound = prefix_bound(stats, child, rest, bounds)
                 if best is None or bound >= best.loglik - slack():
                     heapq.heappush(queue, (-bound, child))
 
@@ -347,12 +343,16 @@ def bootstrap_replicates_loop(data, n_replicates, seed, bounds=DEFAULT_BOUNDS):
     )
 
 
+PANEL_SHAPES = ("any", "one judge", "unanimous", "constant", "ties", "tied rankings")
+
+
 @st.composite
-def small_panels(draw):
+def small_panels(draw, shapes=PANEL_SHAPES):
     """Small panels in the degenerate shapes: one judge, unanimous judges,
-    constant ratings, M = 1 and exact J!-way ties."""
+    constant ratings, M = 1, exact J!-way ties, and rankings that give every
+    candidate the same disagreement count under arbitrary ratings."""
     n = draw(st.integers(2, 5))
-    shape = draw(st.sampled_from(["any", "one judge", "unanimous", "constant", "ties"]))
+    shape = draw(st.sampled_from(shapes))
     n_judges = 1 if shape == "one judge" else draw(st.integers(2, 12))
     max_rating = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
@@ -362,9 +362,9 @@ def small_panels(draw):
         rankings[:] = rankings[0]
     if shape in ("constant", "ties"):
         ratings[:] = draw(st.integers(0, max_rating))
-    if shape == "ties":
+    if shape in ("ties", "tied rankings"):
         # each ranking beside its reverse: every candidate has the same
-        # disagreement count, so all J! candidates tie exactly
+        # disagreement count, so with constant ratings all J! candidates tie
         rankings[1::2] = rankings[0::2][: n_judges // 2, ::-1]
         if n_judges % 2:
             rankings = rankings[:-1]

@@ -30,12 +30,8 @@ from mallows_binomial import (
     sample_dataset,
     theta_mle,
 )
-from mallows_binomial.estimation import (
-    _child_bounds,
-    _concentration_terms,
-    _distance_moments,
-    _free_rating_bounds,
-)
+from mallows_binomial import estimation
+from mallows_binomial.estimation import _child_bounds, _concentration_terms, _distance_moments
 
 from .oracles import fit_best_first_loop, small_panels
 from .test_exhaustive_screen import degenerate_panels, seeded_panel
@@ -141,6 +137,12 @@ def decided_count(stats, prefix) -> int:
     return total
 
 
+def ascending_free(stats, prefix) -> np.ndarray:
+    """The objects not in ``prefix``, in ascending order of mean rating."""
+    ascending = np.argsort(stats.xbar, kind="stable")
+    return ascending[~np.isin(ascending, prefix)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n_objects=st.integers(3, 7),
@@ -157,14 +159,9 @@ def test_child_bounds_are_admissible(n_objects, n_judges, max_rating, theta, see
     order = rng.permutation(n_objects)
     # children of a prefix get bounds only while they leave two or more objects free
     prefix = tuple(int(o) for o in order[: min(depth, n_objects - 3)])
-    free = np.array(sorted(set(range(n_objects)) - set(prefix)), dtype=np.intp)
+    free = ascending_free(stats, prefix)
     bounds, child_decided = _child_bounds(
-        stats,
-        prefix,
-        free,
-        _free_rating_bounds(stats, DEFAULT_BOUNDS),
-        DEFAULT_BOUNDS,
-        decided_count(stats, prefix),
+        stats, prefix, free, DEFAULT_BOUNDS, decided_count(stats, prefix)
     )
     assert bounds.shape == child_decided.shape == free.shape
     for child, bound, count in zip(free.tolist(), bounds.tolist(), child_decided.tolist()):
@@ -173,6 +170,55 @@ def test_child_bounds_are_admissible(n_objects, n_judges, max_rating, theta, see
         best = best_completion(stats, prefix + (child,), rest)
         # rounding only: far below the search's pruning slack of 1e-7
         assert bound >= best - 1e-11 * (1.0 + abs(best)), (prefix, child, bound, best)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=small_panels(shapes=("ties", "tied rankings")))
+def test_child_bounds_are_exact_when_disagreements_tie(data):
+    # every candidate has the same disagreement count, so the relaxed mean
+    # distance is exact, and so must be every bound
+    stats = SufficientStats.from_dataset(data)
+    n = stats.n_objects
+    for depth in range(n - 2):
+        for prefix in itertools.permutations(range(n), depth):
+            free = ascending_free(stats, prefix)
+            bounds, _ = _child_bounds(
+                stats, prefix, free, DEFAULT_BOUNDS, decided_count(stats, prefix)
+            )
+            for child, bound in zip(free.tolist(), bounds.tolist()):
+                rest = tuple(o for o in free.tolist() if o != child)
+                best = best_completion(stats, prefix + (child,), rest)
+                assert abs(bound - best) <= 1e-12 * abs(best), (prefix, child, bound, best)
+
+
+# ---------------------------------------------------------------------------
+# cost of the search
+
+
+def test_near_null_eleven_objects_fit_in_few_nodes():
+    # flat qualities and near-uniform rankings: the search's hard case
+    rng = np.random.default_rng(0)
+    truth = Params(p=np.sort(0.5 + rng.uniform(-0.05, 0.05, 11)), theta=0.01)
+    result = fit_best_first(sample_dataset(truth, 50, 5, seed=0))
+    assert result.nodes_expanded < 1000
+    assert result.consensus.tolist() == [2, 1, 4, 0, 6, 3, 10, 5, 8, 7, 9]
+    assert result.loglik == -1694.1727288154489
+
+
+def test_direct_search_solves_theta_once_per_count(monkeypatch):
+    data = near_null_panel(np.random.default_rng(3))
+    expected, _, _ = fit_best_first_loop(data)
+    calls = []
+    theta_mle = estimation.theta_mle
+
+    def counted(dbar, n_objects, bounds=DEFAULT_BOUNDS):
+        calls.append(dbar)
+        return theta_mle(dbar, n_objects, bounds)
+
+    monkeypatch.setattr(estimation, "theta_mle", counted)
+    result = fit_best_first(data)
+    assert len(calls) == len(set(calls)) < result.candidates_profiled
+    assert not same_fit(result, expected)
 
 
 # ---------------------------------------------------------------------------

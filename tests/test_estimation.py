@@ -16,6 +16,7 @@ from mallows_binomial import (
     fit,
     fit_best_first,
     fit_exhaustive,
+    log_likelihood,
     order_of,
     profile_loglik,
     sample_dataset,
@@ -27,6 +28,7 @@ from .oracles import (
     concentration_grid,
     constrained_binomial_grid,
     profile_grid,
+    small_panels,
 )
 
 WELL_SEPARATED = Params(p=[0.15, 0.4, 0.65, 0.9], theta=2.0)
@@ -190,6 +192,19 @@ def test_profile_matches_grid_oracle(seed):
     assert got.theta == pytest.approx(theta_grid, abs=1e-3)
     assert got.loglik == pytest.approx(ll_grid, abs=1e-3)
     assert got.loglik >= ll_grid - 1e-9
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=small_panels(), draw=st.data())
+def test_profile_on_degenerate_panels(data, draw):
+    consensus = draw.draw(st.permutations(range(data.n_objects)))
+    got = profile_loglik(data, consensus)
+    bounds = DEFAULT_BOUNDS
+    expected = log_likelihood(data, Params(p=got.p, theta=got.theta), consensus)
+    assert abs(got.loglik - expected) <= 1e-12 * abs(expected)
+    assert np.all(np.diff(got.p[consensus]) >= 0.0)
+    assert np.all((got.p >= bounds.p_min) & (got.p <= bounds.p_max))
+    assert bounds.theta_min <= got.theta <= bounds.theta_max
 
 
 def test_profile_reports_clamping():
