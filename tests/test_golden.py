@@ -12,7 +12,8 @@ and lock ``nodes_expanded`` and ``candidates_profiled`` too.  Re-record
 (``PYTHONPATH=src python -m tests.test_golden``) only for a deliberate,
 documented change of the output contract, such as the removal of the
 ``--exhaustive-cap`` flag, which deleted its line from every echoed
-configuration.
+configuration, or the exact rating bound of the best-first search, which
+changed only the J = 9 fits' two search counts.
 """
 
 from __future__ import annotations
