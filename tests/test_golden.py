@@ -8,7 +8,10 @@ bootstrap switched to multiplicity-weighted statistics, and the J = 9 fits
 before the best-first search bounded a node's children in one batch; every
 such change must leave every byte as it was.  J = 9 is past the largest
 panel the exhaustive screen takes, so those fits run the best-first search
-and lock ``nodes_expanded`` and ``candidates_profiled`` too.  Re-record
+and lock ``nodes_expanded`` and ``candidates_profiled`` too.  The J = 7 fit
+and bootstrap lock a panel near the crossover between the two searches:
+whichever search runs there, the bootstrap's intervals, clamp rate and
+consensus agreement must keep every byte.  Re-record
 (``PYTHONPATH=src python -m tests.test_golden``) only for a deliberate,
 documented change of the output contract, such as the removal of the
 ``--exhaustive-cap`` flag, which deleted its line from every echoed
@@ -31,6 +34,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 J4 = ["--p", "0.15,0.4,0.65,0.9", "--theta", "2.0", "--M", "5"]
 J6 = ["--p", "0.2,0.3,0.45,0.5,0.7,0.75", "--theta", "0.6", "--M", "4"]
 # near-null: hundreds of best-first nodes, so the search counts are locked too
+# seven objects: the smallest panel past the exhaustive screen's limit
+J7 = ["--p", "0.2,0.3,0.4,0.5,0.6,0.7,0.8", "--theta", "0.4", "--M", "5"]
 J9 = ["--p", "0.46,0.47,0.48,0.49,0.5,0.51,0.52,0.53,0.54", "--theta", "0.1", "--M", "5"]
 
 # (argv, files the command writes); later commands read earlier outputs
@@ -52,6 +57,12 @@ CASES = (
          "--ratings", "j9_ratings.csv", "--rankings", "j9_rankings.csv",
          "--out", "simulate_j9.json"],
         ("simulate_j9.json", "j9_ratings.csv", "j9_rankings.csv"),
+    ),
+    (
+        ["simulate", *J7, "--judges", "30", "--seed", "9",
+         "--ratings", "j7_ratings.csv", "--rankings", "j7_rankings.csv",
+         "--out", "simulate_j7.json"],
+        ("simulate_j7.json", "j7_ratings.csv", "j7_rankings.csv"),
     ),
     (
         ["fit", "--ratings", "j4_ratings.csv", "--rankings", "j4_rankings.csv",
@@ -79,6 +90,11 @@ CASES = (
         ("fit_j9.csv",),
     ),
     (
+        ["fit", "--ratings", "j7_ratings.csv", "--rankings", "j7_rankings.csv",
+         "--M", "5", "--out", "fit_j7.json"],
+        ("fit_j7.json",),
+    ),
+    (
         ["bootstrap", "--ratings", "j4_ratings.csv", "--rankings", "j4_rankings.csv",
          "--M", "5", "--B", "50", "--alpha", "0.1", "--seed", "7",
          "--out", "bootstrap_j4.json"],
@@ -89,6 +105,12 @@ CASES = (
          "--M", "4", "--B", "10", "--alpha", "0.2", "--seed", "2",
          "--format", "csv", "--out", "bootstrap_j6.csv"],
         ("bootstrap_j6.csv",),
+    ),
+    (
+        ["bootstrap", "--ratings", "j7_ratings.csv", "--rankings", "j7_rankings.csv",
+         "--M", "5", "--B", "20", "--alpha", "0.2", "--seed", "4",
+         "--out", "bootstrap_j7.json"],
+        ("bootstrap_j7.json",),
     ),
     (
         ["lan-check", *J4, "--judges", "60", "--R", "20", "--seed", "5",
