@@ -16,7 +16,7 @@ building it.
 Replicates are refitted a block at a time by the estimator's stacked fit,
 with one memo of concentration solves, keyed on the integer disagreement
 count, for every replicate of a job.  The estimator picks the search from
-the object count, as :func:`fit` does: up to 8 objects the exhaustive screen
+the object count, as :func:`fit` does: up to 6 objects the exhaustive screen
 scores a block of replicates' candidates in one numpy pass; larger panels
 are refitted one replicate per block with the best-first search.  The
 results are those of fitting each replicate on its own.  With ``workers`` >
@@ -154,10 +154,6 @@ class _JudgeTables:
             )
             for row in range(stop - start)
         ]
-
-    def replicate(self, seed, b: int) -> SufficientStats:
-        """Statistics of replicate ``b`` alone."""
-        return self.replicates(seed, b, b + 1)[0]
 
 
 def _fit_replicates(job) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ permutation; :func:`fit_best_first` explores prefixes of the consensus with
 an upper bound on the best completion and provably returns the same optimum,
 usually after profiling a small fraction of the permutations.  Which one
 runs is this module's decision alone: :func:`fit` and the bootstrap refits
-use the exhaustive screen up to 8 objects and the best-first search beyond.
+use the exhaustive screen up to 6 objects and the best-first search beyond.
 
 The exhaustive search is a screen in three steps, run over a stack of
 sufficient statistics that share the judge count, object count and rating
@@ -30,9 +30,9 @@ max_theta [-theta d - log psi(theta)]``, which cannot increase with ``d``.
 1. One numpy pass gives ``R`` (isotonic fit by the min-max formula, box
    clip, Binomial term) and ``D`` for every candidate of every statistics in
    a block of 7! = 5040 rows: as many statistics as their J! candidates fit
-   in, or, past 7 objects, one statistics over several blocks.  A candidate
-   is dropped when another of the same statistics beats its ``R`` by more
-   than a slack with a ``D`` no larger: it cannot be the optimum.
+   in.  A candidate is dropped when another of the same statistics beats its
+   ``R`` by more than a slack with a ``D`` no larger: it cannot be the
+   optimum.
 2. ``g`` is evaluated once per distinct ``D`` among the survivors.  A memo
    keyed on ``D`` keeps every :func:`theta_mle` solve of the call, and the
    profiles of step 3 read it too; the solve depends only on ``D / I``,
@@ -98,9 +98,12 @@ __all__ = [
 ]
 
 # the most objects the exhaustive screen takes on.  Its cost grows as J!,
-# best-first's with how flat the panel is, and at 7 or 8 objects each is the
-# faster one on some panels, so no threshold wins everywhere
-_EXHAUSTIVE_MAX = 8
+# best-first's with how flat the panel is.  Up to 6 objects the stacked
+# screen refits bootstrap replicates faster than a search per replicate; at
+# 7 and 8 objects best-first fitted every measured panel faster (I = 100,
+# M = 5: 1.5-10 ms against 8-12 ms at J = 7, 1.7-22 ms against 88-110 ms at
+# J = 8), except exact J!-way ties, where both profile all J! candidates
+_EXHAUSTIVE_MAX = 6
 
 # safety margin for pruning, in the best-first search and in the exhaustive
 # screen: bounds and screened scores are computed with different
@@ -267,14 +270,12 @@ def _result(best: ProfileFit, method: str, candidates: int, nodes: int) -> FitRe
     )
 
 
-# objects ordered within one block of the permutation table: a block holds
-# the 7! = 5040 orderings of the last objects behind one fixed prefix, and
-# its row count is also what one pass of the screen scores at once
-_BLOCK_OBJECTS = 7
-_BLOCK_ROWS = math.factorial(_BLOCK_OBJECTS)
+# candidate rows one pass of the screen scores: 7! = 5040, which every J!
+# up to _EXHAUSTIVE_MAX divides, so a pass holds whole sets of candidates
+_BLOCK_ROWS = 5040
 
 
-@functools.lru_cache(maxsize=_BLOCK_OBJECTS)
+@functools.lru_cache(maxsize=_EXHAUSTIVE_MAX)
 def _lex_permutations(n: int) -> np.ndarray:
     """Read-only table of all permutations of ``0..n-1`` in lexicographic order."""
     table = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
@@ -282,20 +283,10 @@ def _lex_permutations(n: int) -> np.ndarray:
     return table
 
 
-def _permutation_blocks(n: int):
-    """Every permutation of ``0..n-1``, in lexicographic order, in blocks of rows."""
-    tail = min(n, _BLOCK_OBJECTS)
-    base = _lex_permutations(tail)
-    for prefix in itertools.permutations(range(n), n - tail):
-        block = np.empty((base.shape[0], n), dtype=np.intp)
-        block[:, : n - tail] = prefix
-        block[:, n - tail :] = np.setdiff1d(np.arange(n), prefix)[base]
-        yield block
-
-
 def _stack_block(n_objects: int) -> int:
     """How many statistics the screen scores in one pass: as many whole sets
-    of ``J!`` candidates as fit in a block, and at least one."""
+    of ``J!`` candidates as fit in a block, and at least one (the bootstrap
+    also builds its replicates in blocks of this size past the screen)."""
     return max(1, _BLOCK_ROWS // math.factorial(n_objects))
 
 
@@ -346,35 +337,6 @@ def _undominated(rating: np.ndarray, disagreements: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _screen_survivors(stack: list[SufficientStats], bounds: ParamBounds):
-    """Step 1 of the screen for one block of statistics.
-
-    Returns the survivors as ``(owner, perms, rating, disagreements)``:
-    ``owner`` indexes ``stack``, and rows run by owner, then in
-    lexicographic order.  Every owner keeps at least its best ``R``.
-    """
-    n = stack[0].n_objects
-    xbar = np.stack([stats.xbar for stats in stack])
-    pair_counts = np.stack([stats.pair_counts for stats in stack])
-    parts = []
-    for perms in _permutation_blocks(n):
-        rating = _rating_terms(
-            xbar[:, perms].reshape(-1, n), stack[0].max_rating, bounds
-        ).reshape(len(stack), -1)
-        disagreements = _disagreements(pair_counts, perms)
-        keep = _undominated(rating, disagreements)
-        owner, row = np.nonzero(keep)
-        parts.append((owner, perms[row], rating[keep], disagreements[keep]))
-    survivors = [np.concatenate(column) for column in zip(*parts)]
-    if len(parts) > 1:
-        # past 7 objects a block holds one statistics (_stack_block): screen
-        # the survivors of all its prefix blocks against each other; with a
-        # single block this second pass would keep every survivor
-        keep = _undominated(survivors[2], survivors[3])
-        survivors = [column[keep] for column in survivors]
-    return survivors
-
-
 def _fit_stack(
     stack: list[SufficientStats], bounds: ParamBounds, memo: dict
 ) -> list[FitResult]:
@@ -400,11 +362,22 @@ def _screen_stack(
     """The exhaustive screen of :func:`_fit_stack`."""
     n = stack[0].n_objects
     n_judges = stack[0].n_judges
+    perms = _lex_permutations(n)
     size = _stack_block(n)
     fits: list[FitResult] = []
     for start in range(0, len(stack), size):
         block = stack[start : start + size]
-        owner, perms, rating, disagreements = _screen_survivors(block, bounds)
+        # step 1: R and D of every candidate of every statistics in one
+        # pass; the survivors run by owner, then in lexicographic order, and
+        # every owner keeps at least its best R
+        xbar = np.stack([stats.xbar for stats in block])
+        rating = _rating_terms(
+            xbar[:, perms].reshape(-1, n), block[0].max_rating, bounds
+        ).reshape(len(block), -1)
+        disagreements = _disagreements(np.stack([stats.pair_counts for stats in block]), perms)
+        keep = _undominated(rating, disagreements)
+        owner, row = np.nonzero(keep)
+        rating, disagreements = rating[keep], disagreements[keep]
         # step 2: the ranking term once per distinct D
         distinct, index = np.unique(disagreements, return_inverse=True)
         ranking = np.array(
@@ -417,7 +390,7 @@ def _screen_stack(
         # lexicographic order with a strict ">", reading the same memo
         best: list[ProfileFit | None] = [None] * len(block)
         contenders = score >= floor[owner]
-        for s, perm in zip(owner[contenders].tolist(), perms[contenders]):
+        for s, perm in zip(owner[contenders].tolist(), perms[row[contenders]]):
             candidate = profile_loglik(block[s], perm, bounds)
             if best[s] is None or candidate.loglik > best[s].loglik:
                 best[s] = candidate
@@ -432,8 +405,8 @@ def fit_exhaustive(data, bounds: ParamBounds = DEFAULT_BOUNDS) -> FitResult:
     consensus.  Every permutation is scored by the screen described in the
     module docstring; only those within the slack of the best get a full
     profile, and the result is the one profiling all of them would give.
-    Refuses to run past 8 objects (the candidate count grows factorially);
-    use :func:`fit_best_first` there instead.
+    Refuses to run past 6 objects (the candidate count grows factorially);
+    :func:`fit_best_first`, or :func:`fit`, returns the same optimum there.
     """
     stats = _as_stats(data)
     n = stats.n_objects
@@ -632,7 +605,7 @@ def fit(data, bounds: ParamBounds = DEFAULT_BOUNDS, method: str = "auto") -> Fit
     """Joint MLE of consensus, qualities, and concentration.
 
     ``method`` is ``"exhaustive"``, ``"best-first"``, or ``"auto"`` (the
-    default), which screens every permutation up to 8 objects and runs the
+    default), which screens every permutation up to 6 objects and runs the
     equivalent best-first search beyond that.  The bootstrap refits its
     replicates with the same rule.
     """

@@ -426,10 +426,7 @@ class SufficientStats:
 
     def mean_distance(self, consensus) -> float:
         """Mean Kendall distance from the judges' rankings to ``consensus``."""
-        return self._distance_to(as_ranking(consensus, self.n_objects))
-
-    def _distance_to(self, order: np.ndarray) -> float:
-        """:meth:`mean_distance` for an already validated ranking."""
+        order = as_ranking(consensus, self.n_objects)
         return float(self._disagreements_with(order)) / self.n_judges
 
     def _disagreements_with(self, order: np.ndarray) -> int:

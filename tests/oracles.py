@@ -334,7 +334,7 @@ def bootstrap_replicates_loop(data, n_replicates, seed, bounds=DEFAULT_BOUNDS):
     flags of replicates ``0..n_replicates-1`` as stacked arrays.
     """
     tables = _JudgeTables.from_dataset(data)
-    fits = [fit(tables.replicate(seed, b), bounds) for b in range(n_replicates)]
+    fits = [fit(tables.replicates(seed, b, b + 1)[0], bounds) for b in range(n_replicates)]
     return (
         np.array([refit.p for refit in fits]),
         np.array([refit.theta for refit in fits]),

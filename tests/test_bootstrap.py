@@ -113,7 +113,7 @@ def test_replicate_stats_equal_resampled_dataset_stats():
         tables = _JudgeTables.from_dataset(data)
         for seed in (0, 67):
             for b in range(12):
-                got = tables.replicate(seed, b)
+                got = tables.replicates(seed, b, b + 1)[0]
                 want = SufficientStats.from_dataset(resample(data, spawn_rng(seed, b)))
                 assert np.array_equal(got.xbar, want.xbar)
                 assert got.xbar.dtype == want.xbar.dtype

@@ -1,7 +1,7 @@
 """Stacked bootstrap refits against the replicate-by-replicate loop.
 
 ``bootstrap_fit`` refits a block of replicates at a time through the
-estimator's stacked fit (one exhaustive screen up to 8 objects, the
+estimator's stacked fit (one exhaustive screen up to 6 objects, the
 best-first search beyond), with one memo of concentration solves.  The loop
 that calls ``fit`` once per replicate
 (``oracles.bootstrap_replicates_loop``) is the reference: the qualities,
@@ -104,7 +104,7 @@ def test_bootstrap_fit_matches_loop_for_any_worker_count(workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_nine_objects_refit_best_first_like_the_loop(workers):
-    # past 8 objects the stacked fit runs the best-first search per replicate
+    # past 6 objects the stacked fit runs the best-first search per replicate
     data = sample_dataset(Params(p=np.linspace(0.15, 0.85, 9), theta=0.8), 40, 4, seed=89)
     assert fit(data).method == "best_first"
     assert not replicate_mismatch(data, 20, seed=97)

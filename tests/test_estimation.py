@@ -245,7 +245,7 @@ def test_fit_tie_broken_lexicographically():
 
 def test_fit_exhaustive_cap():
     rng = np.random.default_rng(0)
-    data = random_dataset(rng, 4, 9, 3)
+    data = random_dataset(rng, 4, 7, 3)
     with pytest.raises(ValueError, match="fit_best_first"):
         fit_exhaustive(data)
 
@@ -347,9 +347,12 @@ def test_fit_dispatch():
     data = random_dataset(rng, 8, 3, 4)
     assert fit(data).method == "exhaustive"
     assert fit(data, method="best-first").method == "best_first"
-    # past 8 objects "auto" runs the best-first search
-    nine = sample_dataset(Params(p=np.linspace(0.1, 0.9, 9), theta=1.0), 30, 4, seed=2)
-    auto, best_first = fit(nine), fit_best_first(nine)
+    # "auto" screens every candidate up to 6 objects
+    six = sample_dataset(Params(p=np.linspace(0.1, 0.9, 6), theta=1.0), 30, 4, seed=2)
+    assert fit(six).method == "exhaustive"
+    # past 6 objects "auto" runs the best-first search
+    seven = sample_dataset(Params(p=np.linspace(0.1, 0.9, 7), theta=1.0), 30, 4, seed=2)
+    auto, best_first = fit(seven), fit_best_first(seven)
     assert auto.method == "best_first"
     assert auto.nodes_expanded == best_first.nodes_expanded
     assert auto.loglik == best_first.loglik

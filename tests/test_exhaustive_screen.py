@@ -6,6 +6,8 @@ only the candidates that can win.  The loop that profiles every permutation
 qualities, concentration and clamp flag must agree bit for bit, not within a
 tolerance, on model panels, arbitrary panels, tie-heavy panels and the
 degenerate panels (one judge, unanimous judges, constant ratings, M = 1).
+Past 6 objects the screen refuses, and ``fit`` (the best-first search there)
+must agree with the loop bit for bit instead.
 """
 
 import tracemalloc
@@ -13,7 +15,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mallows_binomial import Dataset, Params, fit_exhaustive, sample_dataset
+from mallows_binomial import (
+    DEFAULT_BOUNDS,
+    Dataset,
+    Params,
+    SufficientStats,
+    estimation,
+    fit,
+    fit_exhaustive,
+    sample_dataset,
+)
 
 from .oracles import fit_exhaustive_loop
 
@@ -22,9 +33,9 @@ from .oracles import fit_exhaustive_loop
 SWEEP = {2: 36, 3: 48, 4: 48, 5: 42, 6: 30, 7: 8}
 
 
-def mismatch(data) -> str | None:
-    """Description of how the two searches differ on ``data``, or None."""
-    new = fit_exhaustive(data)
+def mismatch(data, search=fit_exhaustive) -> str | None:
+    """Description of how ``search`` and the loop differ on ``data``, or None."""
+    new = search(data)
     old, count = fit_exhaustive_loop(data)
     fields = {
         "consensus": np.array_equal(new.consensus, old.consensus),
@@ -32,9 +43,11 @@ def mismatch(data) -> str | None:
         "p": np.array_equal(new.p, old.p),
         "theta": new.theta == old.theta,
         "theta_clamped": new.theta_clamped == old.theta_clamped,
-        "candidates_profiled": new.candidates_profiled == count,
-        "nodes_expanded": new.nodes_expanded == 0,
     }
+    if new.method == "exhaustive":
+        # the screen scores every candidate, as the loop does
+        fields["candidates_profiled"] = new.candidates_profiled == count
+        fields["nodes_expanded"] = new.nodes_expanded == 0
     wrong = [name for name, same in fields.items() if not same]
     if not wrong:
         return None
@@ -69,8 +82,10 @@ def test_seeded_sweep_matches_loop():
     problems = []
     total = 0
     for n_objects, count in SWEEP.items():
+        # fit_exhaustive refuses past 6 objects; fit runs best-first there
+        search = fit_exhaustive if n_objects <= 6 else fit
         for case in range(count):
-            problem = mismatch(seeded_panel(rng, n_objects, case % 4))
+            problem = mismatch(seeded_panel(rng, n_objects, case % 4), search)
             total += 1
             if problem:
                 problems.append(problem)
@@ -134,7 +149,7 @@ def test_degenerate_panels_match_loop():
 
 def test_eight_objects_match_loop():
     truth = Params(p=np.linspace(0.45, 0.55, 8), theta=0.2)
-    assert mismatch(sample_dataset(truth, 60, 5, seed=11)) is None
+    assert mismatch(sample_dataset(truth, 60, 5, seed=11), fit) is None
 
 
 def test_one_object_fails_like_the_loop():
@@ -145,13 +160,19 @@ def test_one_object_fails_like_the_loop():
         fit_exhaustive(data)
 
 
-def test_eight_objects_memory_is_bounded():
-    data = sample_dataset(Params(p=np.linspace(0.1, 0.9, 8), theta=0.3), 200, 5, seed=3)
+def test_six_objects_pass_memory_is_bounded():
+    # one pass of the screen at its largest J: 7 statistics of 6! candidates
+    truth = Params(p=np.linspace(0.1, 0.9, 6), theta=0.3)
+    stack = [
+        SufficientStats.from_dataset(sample_dataset(truth, 200, 5, seed=seed))
+        for seed in range(7)
+    ]
+    assert estimation._stack_block(6) == len(stack)
     tracemalloc.start()
     try:
-        result = fit_exhaustive(data)
+        results = estimation._fit_stack(stack, DEFAULT_BOUNDS, {})
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert result.candidates_profiled == 40320
-    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert [result.candidates_profiled for result in results] == [720] * 7
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
