@@ -15,8 +15,10 @@ consensus agreement must keep every byte.  Re-record
 (``PYTHONPATH=src python -m tests.test_golden``) only for a deliberate,
 documented change of the output contract, such as the removal of the
 ``--exhaustive-cap`` flag, which deleted its line from every echoed
-configuration, or the exact rating bound of the best-first search, which
-changed only the J = 9 fits' two search counts.
+configuration, the exact rating bound of the best-first search, which
+changed only the J = 9 fits' two search counts, or the move of the
+screen's limit from 8 objects to 6, which changed only the J = 7 documents'
+``method``, ``candidates_profiled`` and ``nodes_expanded``.
 """
 
 from __future__ import annotations
