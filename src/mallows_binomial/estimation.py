@@ -27,23 +27,24 @@ where ``R`` is the rating term at the order-constrained qualities, ``D`` the
 integer count of judge-pair disagreements with the candidate, and ``g(d) =
 max_theta [-theta d - log psi(theta)]``, which cannot increase with ``d``.
 
-1. One numpy pass gives ``R`` (isotonic fit by the min-max formula, box
-   clip, Binomial term) and ``D`` for every candidate of every statistics in
-   a block of 7! = 5040 rows: as many statistics as their J! candidates fit
-   in.  A candidate is dropped when another of the same statistics beats its
-   ``R`` by more than a slack with a ``D`` no larger: it cannot be the
-   optimum.
+1. Callers pass at most as many statistics as their J! candidates fit in
+   7! = 5040 rows.  One numpy pass gives ``R`` (isotonic fit by the min-max
+   formula, box clip, Binomial term) and ``D`` as ``(statistics, J!)``
+   matrices.  A candidate is dropped when another of the same statistics
+   beats its ``R`` by more than a slack with a ``D`` no larger (it cannot be
+   the optimum): one sort by ``D``, then by descending ``R``, finds them.
 2. ``g`` is evaluated once per distinct ``D`` among the survivors.  A memo
    keyed on ``D`` keeps every :func:`theta_mle` solve of the call, and the
    profiles of step 3 read it too; the solve depends only on ``D / I``,
    ``J`` and the box, so the memo changes no bit.
-3. Only the candidates within the slack of their statistics' best screened
-   score get the scalar profile of :func:`profile_loglik`, in lexicographic
-   order with a strict ``>``, which is exactly the loop over all
-   permutations restricted to the only candidates that can win it.  The
-   slack is orders of magnitude above the rounding difference between the
-   screen and the scalar profile, so the winner, the tie-break and every
-   reported number are those of that loop.
+3. A dropped candidate scores ``-inf``.  Only the candidates within the
+   slack of their statistics' best score get the scalar profile of
+   :func:`profile_loglik`, by statistics and then in lexicographic order
+   with a strict ``>``, which is exactly the loop over all permutations
+   restricted to the only candidates that can win it.  The slack is orders
+   of magnitude above the rounding difference between the screen and the
+   scalar profile, so the winner, the tie-break and every reported number
+   are those of that loop.
 
 The best-first search bounds all children of a prefix in one pass with the
 same decomposition.  The screen's kernel scores each child as one full
@@ -270,8 +271,8 @@ def _result(best: ProfileFit, method: str, candidates: int, nodes: int) -> FitRe
     )
 
 
-# candidate rows one pass of the screen scores: 7! = 5040, which every J!
-# up to _EXHAUSTIVE_MAX divides, so a pass holds whole sets of candidates
+# the most candidate rows one stack of the screen holds: 7! = 5040, which
+# every J! up to _EXHAUSTIVE_MAX divides, so a full stack fills it exactly
 _BLOCK_ROWS = 5040
 
 
@@ -284,9 +285,9 @@ def _lex_permutations(n: int) -> np.ndarray:
 
 
 def _stack_block(n_objects: int) -> int:
-    """How many statistics the screen scores in one pass: as many whole sets
-    of ``J!`` candidates as fit in a block, and at least one (the bootstrap
-    also builds its replicates in blocks of this size past the screen)."""
+    """The most statistics one call of the screen takes: as many whole sets of
+    ``J!`` candidates as fit in ``_BLOCK_ROWS``, and at least one (the
+    bootstrap also builds its replicates in blocks of this size past it)."""
     return max(1, _BLOCK_ROWS // math.factorial(n_objects))
 
 
@@ -319,21 +320,14 @@ def _undominated(rating: np.ndarray, disagreements: np.ndarray) -> np.ndarray:
     Candidates lie along the last axis; each row along the leading axes is
     screened on its own.
     """
-    order = np.argsort(disagreements, axis=-1, kind="stable")
-    sorted_d = np.take_along_axis(disagreements, order, axis=-1)
+    # by D, and within equal D by descending R: the running maximum at a
+    # candidate is then the best R over every candidate with a D no larger
+    order = np.lexsort((-rating, disagreements), axis=-1)
     sorted_r = np.take_along_axis(rating, order, axis=-1)
     running = np.maximum.accumulate(sorted_r, axis=-1)
-    # candidates with equal D must all see each other: look up the running
-    # maximum at the last candidate of each D
-    n = sorted_d.shape[-1]
-    group_end = np.ones(sorted_d.shape, dtype=bool)
-    group_end[..., :-1] = sorted_d[..., 1:] != sorted_d[..., :-1]
-    last = np.where(group_end, np.arange(n), n - 1)
-    last = np.minimum.accumulate(last[..., ::-1], axis=-1)[..., ::-1]
-    ceiling = np.take_along_axis(running, last, axis=-1)
     slack = _PRUNE_SLACK * (1.0 + np.abs(running[..., -1:]))
     keep = np.empty(rating.shape, dtype=bool)
-    np.put_along_axis(keep, order, sorted_r >= ceiling - slack, axis=-1)
+    np.put_along_axis(keep, order, sorted_r >= running - slack, axis=-1)
     return keep
 
 
@@ -345,10 +339,10 @@ def _fit_stack(
     The statistics must share the object count, judge count and rating
     scale; ``memo`` caches concentration solves for that judge count, object
     count and ``bounds`` (:func:`_concentration`), and every profile reads
-    it.  Up to ``_EXHAUSTIVE_MAX`` objects, statistics go through the screen
-    a block at a time, and each one's result is the one
-    :func:`fit_exhaustive` gives it alone; past it, each is fitted by
-    :func:`fit_best_first`.  The memo is exact, so neither changes a bit.
+    it.  Up to ``_EXHAUSTIVE_MAX`` objects the stack (at most
+    ``_stack_block(J)`` statistics) is screened in one pass, each result the
+    one :func:`fit_exhaustive` gives alone; past it, each statistics is
+    fitted by :func:`fit_best_first`.  The memo is exact: no bit changes.
     """
     with _sharing_solves(memo):
         if stack[0].n_objects > _EXHAUSTIVE_MAX:
@@ -359,43 +353,34 @@ def _fit_stack(
 def _screen_stack(
     stack: list[SufficientStats], bounds: ParamBounds, memo: dict
 ) -> list[FitResult]:
-    """The exhaustive screen of :func:`_fit_stack`."""
+    """The exhaustive screen of :func:`_fit_stack`: one pass over the
+    ``(statistics, J!)`` score matrix."""
     n = stack[0].n_objects
-    n_judges = stack[0].n_judges
     perms = _lex_permutations(n)
-    size = _stack_block(n)
-    fits: list[FitResult] = []
-    for start in range(0, len(stack), size):
-        block = stack[start : start + size]
-        # step 1: R and D of every candidate of every statistics in one
-        # pass; the survivors run by owner, then in lexicographic order, and
-        # every owner keeps at least its best R
-        xbar = np.stack([stats.xbar for stats in block])
-        rating = _rating_terms(
-            xbar[:, perms].reshape(-1, n), block[0].max_rating, bounds
-        ).reshape(len(block), -1)
-        disagreements = _disagreements(np.stack([stats.pair_counts for stats in block]), perms)
-        keep = _undominated(rating, disagreements)
-        owner, row = np.nonzero(keep)
-        rating, disagreements = rating[keep], disagreements[keep]
-        # step 2: the ranking term once per distinct D
-        distinct, index = np.unique(disagreements, return_inverse=True)
-        ranking = np.array(
-            [_concentration(memo, d, n_judges, n, bounds)[2] for d in distinct.tolist()]
-        )
-        score = rating + ranking[index]
-        top = np.maximum.reduceat(score, np.flatnonzero(np.diff(owner, prepend=-1)))
-        floor = top - _PRUNE_SLACK * (1.0 + np.abs(top))
-        # step 3: scalar profiles of the candidates that can win, in
-        # lexicographic order with a strict ">", reading the same memo
-        best: list[ProfileFit | None] = [None] * len(block)
-        contenders = score >= floor[owner]
-        for s, perm in zip(owner[contenders].tolist(), perms[row[contenders]]):
-            candidate = profile_loglik(block[s], perm, bounds)
-            if best[s] is None or candidate.loglik > best[s].loglik:
-                best[s] = candidate
-        fits += [_result(winner, "exhaustive", math.factorial(n), 0) for winner in best]
-    return fits
+    # step 1: R and D of every candidate of every statistics in one pass
+    xbar = np.stack([stats.xbar for stats in stack])
+    rating = _rating_terms(
+        xbar[:, perms].reshape(-1, n), stack[0].max_rating, bounds
+    ).reshape(len(stack), -1)
+    disagreements = _disagreements(np.stack([stats.pair_counts for stats in stack]), perms)
+    keep = _undominated(rating, disagreements)
+    # step 2: the ranking term once per distinct D among the survivors; a
+    # dominated candidate scores -inf, and every row keeps its best R
+    distinct, index = np.unique(disagreements[keep], return_inverse=True)
+    ranking = np.array(
+        [_concentration(memo, d, stack[0].n_judges, n, bounds)[2] for d in distinct.tolist()]
+    )
+    score = np.full(rating.shape, -np.inf)
+    score[keep] = rating[keep] + ranking[index]
+    top = score.max(axis=1, keepdims=True)
+    # step 3: scalar profiles of the candidates that can win, by statistics
+    # and then in lexicographic order with a strict ">", reading the same memo
+    best: list[ProfileFit | None] = [None] * len(stack)
+    for s, row in zip(*np.nonzero(score >= top - _PRUNE_SLACK * (1.0 + np.abs(top)))):
+        candidate = profile_loglik(stack[s], perms[row], bounds)
+        if best[s] is None or candidate.loglik > best[s].loglik:
+            best[s] = candidate
+    return [_result(winner, "exhaustive", math.factorial(n), 0) for winner in best]
 
 
 def fit_exhaustive(data, bounds: ParamBounds = DEFAULT_BOUNDS) -> FitResult:

@@ -3,14 +3,17 @@
 A panel is two files: a ratings file with header ``obj_1..obj_J`` and one
 integer row per judge, and a header-less rankings file with one row per
 judge listing object labels most preferred first.  Object labels are
-1-based in files and 0-based in memory; the conversion lives entirely in
-this module.  Parse errors name the offending file and line.  Every file is
-written to a temporary file beside its path and renamed into place, so a
-failed write never leaves a half-written file.
+1-based in files and 0-based in memory: this module converts the labels and
+``obj_`` names of panel files, and the CLI converts the consensus rankings
+of its documents (``cli._fit_document`` and ``cli._cmd_simulate``).  Parse
+errors name the offending file and its physical line, blank lines counted.
+Every file is written to a temporary file beside its path and renamed into
+place, so a failed write never leaves a half-written file.
 """
 
 from __future__ import annotations
 
+import array
 import contextlib
 import csv
 import io
@@ -29,13 +32,22 @@ __all__ = [
 ]
 
 
-def _read_rows(path) -> list[list[str]]:
+def _read_rows(path) -> tuple[array.array, list[list[str]]]:
+    """The physical line each non-blank row of a CSV file starts on, and the rows."""
+    lines, rows = array.array("q"), []
     with open(path, newline="") as handle:
-        rows = [[cell.strip() for cell in row] for row in csv.reader(handle)]
-    rows = [row for row in rows if row and any(cell for cell in row)]
+        reader = csv.reader(handle)
+        start = 1
+        for row in reader:
+            row = [cell.strip() for cell in row]
+            if any(row):
+                lines.append(start)
+                rows.append(row)
+            # a quoted cell may span lines: the next row starts after them
+            start = reader.line_num + 1
     if not rows:
         raise ValueError(f"{path}: file is empty")
-    return rows
+    return lines, rows
 
 
 def _parse_int_row(path, line_no: int, row: list[str], width: int) -> list[int]:
@@ -54,26 +66,27 @@ def _parse_int_row(path, line_no: int, row: list[str], width: int) -> list[int]:
     return values
 
 
+def _parse_int_rows(path, lines, rows: list[list[str]], width: int) -> np.ndarray:
+    parsed = [_parse_int_row(path, line_no, row, width) for line_no, row in zip(lines, rows)]
+    return np.array(parsed, dtype=np.int64)
+
+
 def read_ratings(path) -> np.ndarray:
     """Read a ratings CSV into an ``I x J`` integer matrix (0-based objects).
 
     The first line must be the header ``obj_1,...,obj_J``; each later line
     holds one judge's integer ratings.
     """
-    rows = _read_rows(path)
-    header = rows[0]
+    lines, (header, *rows) = _read_rows(path)
     expected = [f"obj_{j}" for j in range(1, len(header) + 1)]
     if header != expected:
         raise ValueError(
-            f"{path}, line 1: expected header {','.join(expected)}, got {','.join(header)}"
+            f"{path}, line {lines[0]}: expected header {','.join(expected)}, "
+            f"got {','.join(header)}"
         )
-    if len(rows) == 1:
+    if not rows:
         raise ValueError(f"{path}: no judge rows after the header")
-    width = len(header)
-    return np.array(
-        [_parse_int_row(path, line_no, row, width) for line_no, row in enumerate(rows[1:], 2)],
-        dtype=np.int64,
-    )
+    return _parse_int_rows(path, lines[1:], rows, len(header))
 
 
 def read_rankings(path, n_objects: int | None = None) -> np.ndarray:
@@ -82,16 +95,13 @@ def read_rankings(path, n_objects: int | None = None) -> np.ndarray:
     No header: each line lists one judge's 1-based object labels, most
     preferred first, and must use every label ``1..J`` exactly once.
     """
-    rows = _read_rows(path)
+    lines, rows = _read_rows(path)
     width = n_objects if n_objects is not None else len(rows[0])
-    parsed = np.array(
-        [_parse_int_row(path, line_no, row, width) for line_no, row in enumerate(rows, 1)],
-        dtype=np.int64,
-    )
+    parsed = _parse_int_rows(path, lines, rows, width)
     bad = np.flatnonzero(np.any(np.sort(parsed, axis=1) != np.arange(1, width + 1), axis=1))
     if bad.size:
         raise ValueError(
-            f"{path}, line {bad[0] + 1}: ranking {parsed[bad[0]].tolist()} must use each "
+            f"{path}, line {lines[bad[0]]}: ranking {parsed[bad[0]].tolist()} must use each "
             f"label 1..{width} exactly once"
         )
     return parsed - 1
@@ -110,8 +120,11 @@ def read_dataset(ratings_path, rankings_path, max_rating: int) -> Dataset:
     bad = np.argwhere((ratings < 0) | (ratings > max_rating))
     if bad.size:
         i, j = bad[0]
+        # read_ratings returns the matrix alone, and only this message needs
+        # the judge's line number: read the file again for it
+        line_no = _read_rows(ratings_path)[0][i + 1]
         raise ValueError(
-            f"{ratings_path}, line {i + 2}: rating {ratings[i, j]} for object "
+            f"{ratings_path}, line {line_no}: rating {ratings[i, j]} for object "
             f"obj_{j + 1} is outside 0..{max_rating}"
         )
     return Dataset(ratings=ratings, rankings=rankings, max_rating=max_rating)

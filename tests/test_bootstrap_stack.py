@@ -16,7 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mallows_binomial import DEFAULT_BOUNDS, Dataset, Params, estimation, fit, sample_dataset
+from mallows_binomial import (
+    DEFAULT_BOUNDS,
+    Dataset,
+    Params,
+    bootstrap,
+    estimation,
+    fit,
+    sample_dataset,
+)
 from mallows_binomial.bootstrap import _fit_replicates, _JudgeTables, bootstrap_fit
 
 from .oracles import bootstrap_replicates_loop, small_panels
@@ -129,6 +137,30 @@ def test_memo_solves_theta_once_per_distinct_count(monkeypatch):
     calls.clear()
     bootstrap_replicates_loop(data, 300, seed=103)
     assert stacked < len(calls) / 4
+
+
+def test_six_objects_refit_one_screen_pass_per_block(monkeypatch):
+    # _fit_replicates hands the screen at most one pass of statistics, and
+    # the peak stays under the one-pass bound of
+    # test_six_objects_pass_memory_is_bounded
+    data = sample_dataset(Params(p=np.linspace(0.1, 0.9, 6), theta=0.3), 200, 5, seed=113)
+    sizes = []
+    fit_stack = bootstrap._fit_stack
+
+    def spied(stack, bounds, memo):
+        sizes.append(len(stack))
+        return fit_stack(stack, bounds, memo)
+
+    monkeypatch.setattr(bootstrap, "_fit_stack", spied)
+    tables = _JudgeTables.from_dataset(data)
+    tracemalloc.start()
+    try:
+        _fit_replicates((tables, 127, DEFAULT_BOUNDS, 0, 50))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sizes == [estimation._stack_block(6)] * 7 + [1]
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_seven_objects_memory_is_bounded():

@@ -62,11 +62,22 @@ def test_read_ratings_rejects_bad_header(tmp_path):
     path.write_text("object1,object2\n1,2\n")
     with pytest.raises(ValueError, match="line 1.*obj_1,obj_2"):
         read_ratings(path)
+    path.write_text("\nobject1,object2\n1,2\n")
+    with pytest.raises(ValueError, match="line 2.*obj_1,obj_2"):
+        read_ratings(path)
 
 
 def test_read_ratings_names_bad_cell(tmp_path):
     path = tmp_path / "r.csv"
     path.write_text("obj_1,obj_2\n1,2\n3,x\n")
+    with pytest.raises(ValueError, match="line 3, column 2.*'x'"):
+        read_ratings(path)
+    # blank lines are skipped but still counted
+    path.write_text("obj_1,obj_2\n1,2\n\n3,x\n")
+    with pytest.raises(ValueError, match="line 4, column 2.*'x'"):
+        read_ratings(path)
+    # a row whose quoted cell spans lines is named by its first line
+    path.write_text('obj_1,obj_2\n\n"3\n",x\n')
     with pytest.raises(ValueError, match="line 3, column 2.*'x'"):
         read_ratings(path)
 
@@ -110,6 +121,12 @@ def test_read_rankings_reports_first_of_two_bad_rows(tmp_path):
     assert str(error.value) == (
         f"{path}, line 3: ranking [1, 1, 2] must use each label 1..3 exactly once"
     )
+    path.write_text("1,2,3\n\n3,2,1\n1,1,2\n2,1,3\n4,1,2\n")
+    with pytest.raises(ValueError) as error:
+        read_rankings(path)
+    assert str(error.value) == (
+        f"{path}, line 4: ranking [1, 1, 2] must use each label 1..3 exactly once"
+    )
 
 
 def test_read_dataset_names_judge_count_mismatch(tmp_path):
@@ -126,6 +143,9 @@ def test_read_dataset_names_out_of_range_rating(tmp_path):
     ratings.write_text("obj_1,obj_2\n1,2\n6,0\n")
     rankings.write_text("1,2\n2,1\n")
     with pytest.raises(ValueError, match=r"line 3: rating 6 for object obj_1.*0\.\.5"):
+        read_dataset(ratings, rankings, 5)
+    ratings.write_text("obj_1,obj_2\n1,2\n\n6,0\n")
+    with pytest.raises(ValueError, match=r"line 4: rating 6 for object obj_1.*0\.\.5"):
         read_dataset(ratings, rankings, 5)
 
 

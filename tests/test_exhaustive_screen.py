@@ -14,6 +14,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mallows_binomial import (
     DEFAULT_BOUNDS,
@@ -26,7 +28,7 @@ from mallows_binomial import (
     sample_dataset,
 )
 
-from .oracles import fit_exhaustive_loop
+from .oracles import fit_exhaustive_loop, undominated_pairs
 
 # panels per object count for the seeded sweep: the loop costs J! profiles,
 # so large J gets fewer panels
@@ -176,3 +178,24 @@ def test_six_objects_pass_memory_is_bounded():
         tracemalloc.stop()
     assert [result.candidates_profiled for result in results] == [720] * 7
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+# a few rating terms, some closer together than the slack (1e-7 * (1 + |R|))
+# and some farther apart, at two scales
+SCREEN_RATINGS = [-300.0, -300.0 + 1e-5, -299.9, -1.0, -1.0 + 1e-8, -0.5, 0.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 12)),
+    values=st.data(),
+)
+def test_undominated_matches_pairwise_oracle(shape, values):
+    # few distinct values, so R and D both tie within a row
+    size = shape[0] * shape[1]
+    rating = values.draw(st.lists(st.sampled_from(SCREEN_RATINGS), min_size=size, max_size=size))
+    counts = values.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    rating = np.array(rating).reshape(shape)
+    disagreements = np.array(counts, dtype=np.int64).reshape(shape)
+    keep = estimation._undominated(rating, disagreements)
+    assert np.array_equal(keep, undominated_pairs(rating, disagreements))
