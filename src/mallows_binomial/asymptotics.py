@@ -48,7 +48,9 @@ def theoretical_se(params: Params, max_rating: int, n_judges: int) -> StandardEr
     Qualities: ``sqrt(p (1 - p) / (M I))``.  Concentration: the MLE inverts
     the expected-distance map at the observed mean distance, whose variance
     is ``sigma^2 / I``; the map's slope is ``kappa' = -sigma^2``, so the
-    delta method gives ``sqrt(sigma^2 / ((kappa')^2 I))``.
+    delta method gives ``sqrt(sigma^2 / ((kappa')^2 I))``.  Raises
+    ``ValueError`` when ``theta`` is so large (about 375 and beyond) that
+    ``(kappa')^2`` underflows to zero.
     """
     max_rating = int(max_rating)
     n_judges = int(n_judges)
@@ -59,6 +61,11 @@ def theoretical_se(params: Params, max_rating: int, n_judges: int) -> StandardEr
     p_se = np.sqrt(params.p * (1.0 - params.p) / (max_rating * n_judges))
     var = distance_variance(params.theta, params.n_objects)
     kappa_prime = -var
+    if kappa_prime**2 == 0.0:
+        raise ValueError(
+            f"theta = {params.theta} is too large for the delta method: the squared "
+            "slope of the expected distance underflows to zero"
+        )
     theta_se = float(np.sqrt(var / (kappa_prime**2 * n_judges)))
     return StandardErrors(p=p_se, theta=theta_se)
 

@@ -54,10 +54,13 @@ under that tree order the best ``R`` is the isotonic fit along this ranking
 (Robertson, Wright & Dykstra 1988), so ``R`` is exact.  Only ``D`` is
 relaxed, to its exact integer minimum over completions: decided pairs count
 their disagreements, undecided ones the smaller of their two orders.  ``g``
-comes from a vectorised solve (a cached grid of the expected distance
-brackets each root, and Newton steps finish it).  Full rankings get the
-scalar :func:`profile_loglik`, with one memo of solves per search, so the
-search returns the same result and counts as bounding one child at a time.
+is read off a cached table by linear interpolation, with no ``theta`` solve:
+``g`` is convex, so the chord between table points bounds it from above.
+Full rankings get the scalar :func:`profile_loglik`, with one memo of solves
+per search.  Because every bound is admissible, the search returns the
+result of exact bounds bit for bit; on every panel measured it also expanded
+and profiled as many candidates as bounding one child at a time with exact
+solves, though the chord's slack could cost a node elsewhere.
 """
 
 from __future__ import annotations
@@ -404,87 +407,71 @@ def fit_exhaustive(data, bounds: ParamBounds = DEFAULT_BOUNDS) -> FitResult:
 
 
 def _distance_moments(theta: np.ndarray, n_objects: int):
-    """Mean and variance of the Kendall distance, and ``log psi``, per entry of ``theta``.
+    """Mean of the Kendall distance and ``log psi``, per entry of ``theta``.
 
-    Vectorised :func:`expected_distance`, :func:`distance_variance` and
-    :func:`log_psi`, with the same series branch below ``theta * n`` of
-    ``_SERIES_CUTOFF``.
+    Vectorised :func:`expected_distance` and :func:`log_psi`, with the same
+    series branch below ``theta * n`` of ``_SERIES_CUTOFF``.
     """
     j = np.arange(1.0, n_objects + 1.0)
     scaled = theta[:, None] * j
     head = -np.expm1(-scaled)
     ratio = np.exp(-scaled) / head
     mean = n_objects * ratio[:, 0] - ratio @ j
-    variance = n_objects * ratio[:, 0] / head[:, 0] - (ratio / head) @ (j * j)
     series = theta * n_objects < _SERIES_CUTOFF
     if series.any():
         t = theta[series]
         mean[series] = (
             np.sum(j - 1) / 2 - np.sum(j**2 - 1) / 12 * t + np.sum(j**4 - 1) / 720 * t**3
         )
-        variance[series] = (
-            np.sum(j**2 - 1) / 12
-            - np.sum(j**4 - 1) / 240 * t**2
-            + np.sum(j**6 - 1) / 6048 * t**4
-        )
     log_norm = np.log(head).sum(axis=1) - n_objects * np.log(head[:, 0])
-    return mean, variance, log_norm
+    return mean, log_norm
 
 
-# points of the log-spaced theta grid on which the expected distance is
-# tabulated once per object count and box: neighbouring points are 3.5 %
-# apart at the default box, close enough that Newton from the interpolated
-# root usually needs one or two steps; more points buy nothing but memory
-_THETA_GRID = 512
-# Newton stops once every step is below this share of (1 + theta); ``g`` is
-# flat at the root, so stopping there costs about variance * step**2 / 2
-_THETA_NEWTON_TOL = 1e-9
-_THETA_NEWTON_MAX = 50
+# points of the log-spaced theta grid on which the ranking term is tabulated
+# once per object count and box: neighbouring points are 0.4 % apart at the
+# default box, and the chord between them lies at most about 8e-5 per judge
+# above the exact term for J up to 40; at 1 024 points the looser bound made
+# the search expand a few more prefixes on some panels
+_THETA_GRID = 4096
 
 
 @functools.lru_cache(maxsize=64)
-def _expected_distance_grid(n_objects: int, bounds: ParamBounds):
-    """Log-spaced theta grid over the box and the expected distance on it."""
-    theta = np.geomspace(bounds.theta_min, bounds.theta_max, _THETA_GRID)
+def _ranking_term_table(n_objects: int, bounds: ParamBounds):
+    """``(d, g)`` with ``d`` ascending from 0 to ``J (J - 1) / 2``, for
+    :func:`_concentration_terms` to interpolate.
+
+    ``g(d) = max -theta d - log psi(theta)`` over the box is a maximum of
+    lines in ``d``, so it is convex, and at ``d = E(theta)`` the line of that
+    ``theta`` attains it: the grid's points ``(E(theta), -theta E(theta) -
+    log psi(theta))`` lie on ``g``.  Below ``E(theta_max)`` and above
+    ``E(theta_min)``, ``g`` is the line of that box edge, so one more point
+    on each edge line closes the table.
+    """
+    theta = np.geomspace(bounds.theta_max, bounds.theta_min, _THETA_GRID)
     # in chunks, so the (points x objects) temporaries stay small
-    mean = np.concatenate(
-        [_distance_moments(chunk, n_objects)[0] for chunk in np.split(theta, 4)]
+    mean, log_norm = np.concatenate(
+        [_distance_moments(chunk, n_objects) for chunk in np.split(theta, 32)], axis=1
     )
-    theta.flags.writeable = mean.flags.writeable = False
-    return theta, mean
+    top = n_objects * (n_objects - 1) / 2
+    d = np.concatenate([[0.0], mean, [top]])
+    g = np.concatenate(
+        [[-log_norm[0]], -theta * mean - log_norm, [-theta[-1] * top - log_norm[-1]]]
+    )
+    d.flags.writeable = g.flags.writeable = False
+    return d, g
 
 
 def _concentration_terms(dbar: np.ndarray, n_objects: int, bounds: ParamBounds) -> np.ndarray:
-    """``g(d) = max -theta d - log psi(theta)`` over the theta box, per entry of ``dbar``.
+    """Upper bound on ``g(d) = max -theta d - log psi(theta)`` over the
+    theta box, per entry of ``dbar``.
 
-    The vectorised counterpart of :func:`theta_mle` followed by the ranking
-    term.  ``dbar`` at or beyond the expected distance at a box edge clamps
-    to that edge.  Otherwise the tabulated expected distance brackets the
-    root of ``E(theta) = dbar`` between two grid points, interpolation
-    starts inside the bracket, and Newton steps with ``E' = -variance``
-    finish it without leaving the bracket.
+    The chord between neighbouring points of :func:`_ranking_term_table`.
+    ``g`` is convex, so the chord never lies below it (admissible up to
+    rounding); it is exact up to rounding at the table's points and where
+    :func:`theta_mle` clamps to a box edge, and nowhere more than about
+    ``8e-5`` above ``g`` at the default box.
     """
-    grid, grid_mean = _expected_distance_grid(n_objects, bounds)
-    interior = (dbar > grid_mean[-1]) & (dbar < grid_mean[0])
-    terms = np.empty(dbar.shape)
-    if interior.any():
-        target = dbar[interior]
-        # E decreases along the grid: grid_mean[upper - 1] > target >= grid_mean[upper]
-        upper = np.searchsorted(-grid_mean, -target, side="left")
-        lo, hi = grid[upper - 1], grid[upper]
-        root = np.interp(-target, -grid_mean, grid)
-        for _ in range(_THETA_NEWTON_MAX):
-            mean, variance, log_norm = _distance_moments(root, n_objects)
-            step = (mean - target) / variance
-            if np.all(np.abs(step) <= _THETA_NEWTON_TOL * (1.0 + root)):
-                break
-            root = np.clip(root + step, lo, hi)
-        terms[interior] = -root * target - log_norm
-    edge = ~interior
-    if edge.any():
-        theta = np.where(dbar[edge] <= grid_mean[-1], bounds.theta_max, bounds.theta_min)
-        terms[edge] = -theta * dbar[edge] - _distance_moments(theta, n_objects)[2]
-    return terms
+    return np.interp(dbar, *_ranking_term_table(n_objects, bounds))
 
 
 def _child_bounds(
@@ -502,8 +489,9 @@ def _child_bounds(
     the disagreements on the pairs the prefix decides: the pairs within it
     and those between it and the free objects.  The rating term is exact
     (see the module docstring); the mean distance is lowered to its minimum
-    over completions, with the concentration then optimal for it, which
-    only raises the value, so no completion can beat its child's bound.
+    over completions, and the ranking term there is the chord of
+    :func:`_concentration_terms`, at least the best over the theta box.
+    Both only raise the value, so no completion can beat its child's bound.
     """
     k, depth = free.size, len(prefix)
     step = np.arange(k - 1)

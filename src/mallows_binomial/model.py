@@ -67,41 +67,12 @@ def as_ranking(ranking, n_objects: int | None = None) -> np.ndarray:
     return _freeze(order)
 
 
-def _merge_count(left: list, right: list) -> tuple[list, int]:
-    """Merge two sorted runs, counting pairs (l, r) with l > r."""
-    merged = []
-    count = 0
-    i = j = 0
-    n_left = len(left)
-    while i < n_left and j < len(right):
-        if left[i] <= right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            merged.append(right[j])
-            count += n_left - i
-            j += 1
-    merged += left[i:]
-    merged += right[j:]
-    return merged, count
-
-
-def _count_inversions(seq: list) -> tuple[list, int]:
-    """Merge-sort inversion count, O(n log n)."""
-    if len(seq) <= 1:
-        return seq, 0
-    mid = len(seq) // 2
-    left, a = _count_inversions(seq[:mid])
-    right, b = _count_inversions(seq[mid:])
-    merged, c = _merge_count(left, right)
-    return merged, a + b + c
-
-
 def kendall_distance(a, b) -> int:
     """Kendall pair-swap distance between two rankings.
 
-    Counts the object pairs that the two rankings order differently, via
-    merge-sort inversion counting.  Symmetric, and bounded by
+    Counts the object pairs that the two rankings order differently by
+    comparing every pair of positions at once, which takes O(J^2) time and
+    memory (one J x J boolean array).  Symmetric, and bounded by
     ``J * (J - 1) / 2`` (full reversal).
 
     Parameters
@@ -115,8 +86,8 @@ def kendall_distance(a, b) -> int:
     # exactly one inversion per discordant pair
     pos_b = np.empty(a.size, dtype=np.intp)
     pos_b[b] = np.arange(a.size)
-    _, inversions = _count_inversions(pos_b[a].tolist())
-    return inversions
+    x = pos_b[a]
+    return int(np.count_nonzero(np.triu(x[:, None] > x, 1)))
 
 
 def max_kendall_distance(n_objects: int) -> int:

@@ -57,6 +57,13 @@ def test_se_validation():
         theoretical_se(SMALL, 5, 0)
 
 
+@pytest.mark.parametrize("theta", [375.0, 400.0, 700.0, 800.0])
+def test_se_theta_refuses_underflowing_slope(theta):
+    # (kappa')^2 underflows to zero here; the delta method has nothing to divide by
+    with pytest.raises(ValueError, match=f"theta = {theta}"):
+        theoretical_se(Params(p=[0.2, 0.5, 0.8], theta=theta), 5, 50)
+
+
 def test_mean_distance_clt():
     # the observed mean distance, standardized by the theoretical moments,
     # should land in the 95% normal band about 95% of the time

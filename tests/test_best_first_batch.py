@@ -1,11 +1,12 @@
 """The batched best-first search against the scalar search it replaces.
 
-``fit_best_first`` bounds all children of a prefix in one numpy pass, with a
-vectorised concentration solve.  The search that bounds one child at a time
-(``oracles.fit_best_first_loop``) is the reference: consensus, loglik,
-qualities, concentration and clamp flag must agree bit for bit, and the
-search must expand the same prefixes and profile the same rankings.  The
-batched bound must also be admissible: no completion of a child may beat it.
+``fit_best_first`` bounds all children of a prefix in one numpy pass, with
+the ranking term read off a tabulated chord.  The search that bounds one
+child at a time with exact ``theta`` solves (``oracles.fit_best_first_loop``)
+is the reference: consensus, loglik, qualities, concentration and clamp flag
+must agree bit for bit, and on these panels the search must expand the same
+prefixes and profile the same rankings.  The batched bound must also be
+admissible: no completion of a child may beat it.
 """
 
 import itertools
@@ -21,7 +22,6 @@ from mallows_binomial import (
     ParamBounds,
     Params,
     SufficientStats,
-    distance_variance,
     expected_distance,
     fit_best_first,
     fit_exhaustive,
@@ -31,7 +31,12 @@ from mallows_binomial import (
     theta_mle,
 )
 from mallows_binomial import estimation
-from mallows_binomial.estimation import _child_bounds, _concentration_terms, _distance_moments
+from mallows_binomial.estimation import (
+    _child_bounds,
+    _concentration_terms,
+    _distance_moments,
+    _ranking_term_table,
+)
 
 from .oracles import fit_best_first_loop, small_panels
 from .test_exhaustive_screen import degenerate_panels, seeded_panel
@@ -77,6 +82,14 @@ def near_null_panel(rng) -> Dataset:
     return sample_dataset(truth, n_judges, 5, seed=int(rng.integers(2**31)))
 
 
+def flat_panel(n_objects: int) -> Dataset:
+    # qualities within 0.45-0.55 and near-uniform rankings: bounds sit closest
+    # to the incumbent here
+    rng = np.random.default_rng(0)
+    truth = Params(p=np.sort(rng.uniform(0.45, 0.55, n_objects)), theta=0.01)
+    return sample_dataset(truth, 50, 5, seed=0)
+
+
 def seeded_panels():
     rng = np.random.default_rng(20261019)
     for n_objects in range(3, 13):
@@ -84,6 +97,8 @@ def seeded_panels():
             yield model_panel(rng, n_objects)
     for _ in range(6):
         yield near_null_panel(rng)
+    yield flat_panel(11)
+    yield flat_panel(12)
     # arbitrary, near-null and tie-heavy panels from the exhaustive screen's sweep
     for n_objects in (3, 4, 5, 6):
         for kind in range(4):
@@ -222,7 +237,7 @@ def test_direct_search_solves_theta_once_per_count(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the vectorised concentration solve against theta_mle
+# the tabulated ranking term against theta_mle
 
 
 def scalar_terms(dbar, n_objects, bounds=DEFAULT_BOUNDS) -> np.ndarray:
@@ -245,10 +260,9 @@ def test_distance_moments_match_scalar_functions(n_objects):
             np.geomspace(0.0101 / n_objects, 50, 30),
         ]
     )
-    mean, variance, log_norm = _distance_moments(thetas, n_objects)
+    mean, log_norm = _distance_moments(thetas, n_objects)
     for name, vectorised, scalar in (
         ("mean", mean, expected_distance),
-        ("variance", variance, distance_variance),
         ("log psi", log_norm, log_psi),
     ):
         expected = np.array([scalar(t, n_objects) for t in thetas])
@@ -259,32 +273,44 @@ def distances_at(thetas, n_objects) -> np.ndarray:
     return np.array([expected_distance(t, n_objects) for t in thetas])
 
 
-@pytest.mark.parametrize("n_objects", [2, 3, 5, 9, 12, 20, 40])
-def test_concentration_terms_match_theta_mle(n_objects):
-    bounds = DEFAULT_BOUNDS
-    uniform = n_objects * (n_objects - 1) / 4
-    series = np.geomspace(bounds.theta_min, 0.009 / n_objects, 7)
-    interior = np.geomspace(0.011 / n_objects, 0.9 * bounds.theta_max, 25)
+def check_chord_bounds_g(n_objects, bounds):
+    """The tabulated chord against ``g`` through ``theta_mle``: exact where
+    ``theta`` clamps, and elsewhere above it by less than 1e-4 per judge
+    (about 8e-5 at most, at J = 40 and the default box), never below by more
+    than rounding."""
+    table_d, _ = _ranking_term_table(n_objects, bounds)
+    assert np.all(np.diff(table_d) > 0)
+    top = n_objects * (n_objects - 1) / 2
+    low = expected_distance(bounds.theta_max, n_objects)
+    high = expected_distance(bounds.theta_min, n_objects)
+    clamped = np.concatenate([np.linspace(0.0, low, 4), np.linspace(high, top, 4)])
+    np.testing.assert_allclose(
+        _concentration_terms(clamped, n_objects, bounds),
+        scalar_terms(clamped, n_objects, bounds),
+        rtol=0,
+        atol=1e-12,
+    )
+    thetas = np.geomspace(bounds.theta_min, bounds.theta_max, 40)
     dbar = np.concatenate(
         [
-            [0.0, expected_distance(bounds.theta_max, n_objects) / 2],  # clamp to theta_max
-            [uniform, uniform + 1.0, n_objects * (n_objects - 1) / 2],  # clamp to theta_min
-            distances_at(series, n_objects),  # theta * n below the series cutoff
-            distances_at(interior, n_objects),
-            np.linspace(0.01, uniform - 1e-3, 40),
+            distances_at(thetas, n_objects),  # on the default box, some below the series cutoff
+            (table_d[:-1:16] + table_d[1::16]) / 2,  # midway between table points
+            np.linspace(0.0, top, 61),
         ]
     )
-    assert np.any(distances_at(series, n_objects) > 0)
-    vectorised = _concentration_terms(dbar, n_objects, bounds)
-    np.testing.assert_allclose(vectorised, scalar_terms(dbar, n_objects), rtol=0, atol=1e-12)
+    excess = _concentration_terms(dbar, n_objects, bounds) - scalar_terms(dbar, n_objects, bounds)
+    assert excess.min() >= -1e-12, dbar[excess.argmin()]
+    assert excess.max() <= 1e-4, dbar[excess.argmax()]
+
+
+@pytest.mark.parametrize("n_objects", [2, 3, 5, 9, 12, 20, 40])
+def test_concentration_terms_match_theta_mle(n_objects):
+    check_chord_bounds_g(n_objects, DEFAULT_BOUNDS)
 
 
 def test_concentration_terms_follow_custom_box():
-    bounds = ParamBounds(theta_min=0.2, theta_max=3.0)
-    dbar = np.linspace(0.0, 9 * 8 / 2, 73)
-    np.testing.assert_allclose(
-        _concentration_terms(dbar, 9, bounds), scalar_terms(dbar, 9, bounds), rtol=0, atol=1e-12
-    )
+    for n_objects in (2, 3, 5, 9, 12, 20, 40):
+        check_chord_bounds_g(n_objects, ParamBounds(theta_min=0.2, theta_max=3.0))
 
 
 # ---------------------------------------------------------------------------

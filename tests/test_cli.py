@@ -313,6 +313,18 @@ def test_cli_out_of_range_rating_fails(tmp_path, capsys):
     assert "rating 9" in message and "obj_1" in message
 
 
+def test_cli_lan_check_at_huge_theta_fails_cleanly(tmp_path, capsys):
+    out = tmp_path / "lan.json"
+    status = run(
+        ["lan-check", "--p", "0.2,0.5,0.8", "--theta", "400", "--judges", "50",
+         "--M", "5", "--R", "3", "--out", str(out)]
+    )
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "400" in err
+    assert not out.exists()
+
+
 def test_cli_missing_file_fails(tmp_path, capsys):
     status = run(["fit", "--ratings", "nope.csv", "--rankings", "nope2.csv", "--M", "5"])
     assert status == 1
