@@ -107,7 +107,16 @@ class CoverageReport:
         return asdict(self)
 
 
-def _check_study_args(n_replications: int, alpha: float) -> tuple[int, float]:
+def _check_study_args(
+    params: Params, bounds: ParamBounds, n_replications: int, alpha: float
+) -> tuple[int, float]:
+    # every fit clamps theta to the box, so a truth outside it is never covered
+    # and its standard error says nothing about the clamped estimates
+    if not bounds.theta_min <= params.theta <= bounds.theta_max:
+        raise ValueError(
+            f"true theta = {params.theta} lies outside the theta box "
+            f"[{bounds.theta_min}, {bounds.theta_max}] every fit is clamped to"
+        )
     n_replications = int(n_replications)
     if n_replications < 1:
         raise ValueError(f"need at least one replication, got {n_replications}")
@@ -132,9 +141,10 @@ def lan_check(
     standardizes every estimate by its theoretical standard error.  Coverage
     is the fraction of replications whose standardized error lies inside the
     two-sided normal band at level ``alpha``.  Estimator normality makes
-    each coverage approach ``1 - alpha`` as the judge count grows.
+    each coverage approach ``1 - alpha`` as the judge count grows.  A true
+    ``theta`` outside the box of ``bounds`` raises ``ValueError``.
     """
-    n_replications, alpha = _check_study_args(n_replications, alpha)
+    n_replications, alpha = _check_study_args(params, bounds, n_replications, alpha)
     se = theoretical_se(params, max_rating, n_judges)
     z_crit = float(ndtri(1.0 - alpha / 2.0))
     truth = params.consensus()
@@ -184,9 +194,10 @@ def coverage_study(
     bootstrap pipeline on it, and records whether each parameter's interval
     covers the truth.  Valid intervals make every coverage approach
     ``1 - alpha``.  With ``workers`` > 1, every replication's bootstrap runs
-    on one process pool that lives as long as the study.
+    on one process pool that lives as long as the study.  A true ``theta``
+    outside the box of ``bounds`` raises ``ValueError``.
     """
-    n_replications, alpha = _check_study_args(n_replications, alpha)
+    n_replications, alpha = _check_study_args(params, bounds, n_replications, alpha)
     n_bootstrap, workers = _check_bootstrap_args(n_bootstrap, alpha, workers)
     truth = params.consensus()
     p_covered = np.empty((n_replications, params.n_objects), dtype=bool)

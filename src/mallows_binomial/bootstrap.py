@@ -45,7 +45,7 @@ from .model import (
     _log_binom_levels,
     _pair_indicators,
 )
-from .sampling import spawn_rng
+from .sampling import _streams
 
 __all__ = ["resample", "percentile_interval", "BootstrapResult", "bootstrap_fit"]
 
@@ -136,8 +136,8 @@ class _JudgeTables:
         n_judges, n = self.ratings.shape
         weights = np.stack(
             [
-                np.bincount(_draw_judges(n_judges, spawn_rng(seed, b)), minlength=n_judges)
-                for b in range(start, stop)
+                np.bincount(_draw_judges(n_judges, rng), minlength=n_judges)
+                for rng in _streams(seed, start, stop)
             ]
         )
         rating_sums = weights @ self.ratings

@@ -12,10 +12,14 @@ uniforms, one column per step, into rankings, advancing every row through
 each step at once.
 
 Randomness is organized as a tree: :func:`spawn_rng` and :func:`derive_seed`
-map a root seed plus an integer path to independent streams.
-:func:`sample_dataset` gives judge ``i`` the stream ``(seed, i)``, so a
-dataset is reproducible regardless of evaluation order and a larger dataset
-extends a smaller one drawn from the same seed.
+map a root seed plus an integer path to independent streams, and
+:func:`spawn_rng` is the definition of a stream.  :func:`sample_dataset`
+gives judge ``i`` the stream ``(seed, i)``, so a dataset is reproducible
+regardless of evaluation order and a larger dataset extends a smaller one
+drawn from the same seed.  Building one generator per judge (or per bootstrap
+replicate) costs more than the draws it makes, so the samplers derive the
+same generator states in bulk, by numpy's seed hash vectorised over the keys,
+and set them on one reused generator.
 """
 
 from __future__ import annotations
@@ -64,6 +68,82 @@ def derive_seed(seed, *path) -> int:
     seed, path = _check_path(seed, path)
     state = np.random.SeedSequence(seed, spawn_key=path).generate_state(1, np.uint64)
     return int(state[0])
+
+
+# numpy's SeedSequence hash constants (pool of four uint32 words) and the
+# PCG64 multiplier (O'Neill 2014)
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# keys per bulk derivation, so the states of a large range are never all held
+_STATE_BLOCK = 4096
+
+
+def _hashmix(value: np.ndarray, h: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hash of uint32 words under constant ``h``; the next constant."""
+    value = value ^ np.uint32(h)
+    h = h * mult & _MASK32
+    value *= np.uint32(h)
+    return value ^ value >> 16, h
+
+
+def _pcg64_states(seed, keys) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``spawn_rng(seed, k)`` for each key ``k``.
+
+    ``SeedSequence(seed, spawn_key=(k,))`` mixes the seed's words into a pool
+    that is ``SeedSequence(seed).pool`` for every key (the zero words padding
+    the seed change nothing), then mixes the key word into each pool word;
+    ``generate_state(4, uint64)`` hashes the pool, and PCG64 seeds from those
+    words with two steps of its 128-bit LCG.  The hash constants do not
+    depend on the data, so the per-key steps are uint32 numpy passes over
+    all keys at once.  A key must be one word, in ``[0, 2**32)``.
+    """
+    seed, _ = _check_path(seed, ())
+    keys = np.asarray(keys)
+    if keys.size and not (0 <= keys.min() and keys.max() <= _MASK32):
+        raise ValueError(f"stream keys must lie in [0, 2**32), got {keys.min()}..{keys.max()}")
+    keys = keys.astype(np.uint32)
+    # the hash constant after the seed's 4 * max(4, words) hash steps
+    h = _INIT_A * pow(_MULT_A, 4 * max(4, -(-seed.bit_length() // 32)), 1 << 32) & _MASK32
+    pool = []
+    for word in np.random.SeedSequence(seed).pool.tolist():
+        value, h = _hashmix(keys, h, _MULT_A)
+        value = np.uint32(_MIX_L * word & _MASK32) - value * np.uint32(_MIX_R)
+        pool.append(value ^ value >> 16)
+    h, words = _INIT_B, []
+    for i in range(8):
+        value, h = _hashmix(pool[i % 4], h, _MULT_B)
+        words.append(value.astype(np.uint64))
+    # uint32 pairs are little-endian uint64 words: seed high, low, inc high, low
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(
+        *((words[j] | words[j + 1] << 32).tolist() for j in range(0, 8, 2))
+    ):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        states.append(((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _streams(seed, start: int, stop: int):
+    """The generators ``spawn_rng(seed, k)`` for ``k`` in ``start..stop-1``.
+
+    One generator is yielded again with the next key's state, so each must
+    be drawn from before the next is taken.
+    """
+    rng = np.random.Generator(np.random.PCG64())
+    bit_generator = rng.bit_generator
+    for lo in range(start, stop, _STATE_BLOCK):
+        for state, inc in _pcg64_states(seed, range(lo, min(lo + _STATE_BLOCK, stop))):
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
 
 
 def _insertion_rankings(center: np.ndarray, theta: float, uniforms: np.ndarray) -> np.ndarray:
@@ -146,14 +226,14 @@ def sample_dataset(
         consensus = params.consensus()
     consensus = as_ranking(consensus, params.n_objects)
     n = consensus.size
-    seed, _ = _check_path(seed, ())
+    p = params.p.tolist()
     uniforms = np.empty((n_judges, n - 1))
-    ratings = np.empty((n_judges, n), dtype=np.int64)
-    for i in range(n_judges):
-        # the stream spawn_rng(seed, i), with the seed checked once; one
-        # generator at a time, so no list of all judges' streams is held
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        uniforms[i] = rng.random(n - 1)
-        ratings[i] = rng.binomial(max_rating, params.p)
+    ratings = []
+    for i, rng in enumerate(_streams(seed, 0, n_judges)):
+        rng.random(out=uniforms[i])
+        # scalar draws: the same variates as one array call, without its checks
+        ratings.append([rng.binomial(max_rating, p_j) for p_j in p])
     rankings = _insertion_rankings(consensus, params.theta, uniforms)
-    return Dataset(ratings=ratings, rankings=rankings, max_rating=max_rating)
+    return Dataset(
+        ratings=np.array(ratings, dtype=np.int64), rankings=rankings, max_rating=max_rating
+    )

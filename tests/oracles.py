@@ -5,15 +5,16 @@ the package code: pair-by-pair distance counting and dominance checks,
 exhaustive sums over all J! permutations, term-by-term density products, and
 grid searches.  Slow is fine; these run only at small sizes.
 
-The exceptions are the searches as scalar loops:
+The exceptions are the scalar loops:
 :func:`fit_exhaustive_loop` runs one profile per permutation,
-:func:`fit_best_first_loop` bounds one child prefix at a time, and
-:func:`bootstrap_replicates_loop` refits one bootstrap replicate at a time.
-They call the package's ``profile_loglik`` and ``fit`` on purpose: the
-screened exhaustive search, the batched best-first search and the stacked
-bootstrap refits must reproduce them bit for bit, not merely within a
-tolerance.  :func:`small_panels` is the hypothesis strategy of small
-degenerate panels that those comparisons share.
+:func:`fit_best_first_loop` bounds one child prefix at a time,
+:func:`bootstrap_replicates_loop` refits one bootstrap replicate at a time,
+and :func:`sample_dataset_loop` builds one generator per judge.  They call
+the package's ``profile_loglik``, ``fit`` and ``spawn_rng`` on purpose: the
+screened exhaustive search, the batched best-first search, the stacked
+bootstrap refits and the bulk-seeded sampler must reproduce them bit for
+bit, not merely within a tolerance.  :func:`small_panels` is the hypothesis
+strategy of small degenerate panels that those comparisons share.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from mallows_binomial import (
     fit,
     log_psi,
     profile_loglik,
+    spawn_rng,
     theta_mle,
 )
 from mallows_binomial.bootstrap import _JudgeTables
@@ -106,6 +108,23 @@ def sample_mallows_loop(center, theta: float, n_samples: int, rng) -> np.ndarray
         cdf[-1] = 1.0
         displacements[:, m] = np.searchsorted(cdf, rng.random(n_samples), side="right")
     return insertion_loop(center, displacements)
+
+
+def sample_dataset_loop(params, n_judges: int, max_rating: int, seed, consensus=None):
+    """``sample_dataset`` one judge at a time, each from its own ``spawn_rng(seed, i)``.
+
+    Judge ``i`` draws its ranking as ``sample_mallows_loop`` makes it, then
+    its ratings with one array ``binomial`` call.  Returns ``(ratings,
+    rankings)``.
+    """
+    if consensus is None:
+        consensus = params.consensus()
+    ratings, rankings = [], []
+    for i in range(n_judges):
+        rng = spawn_rng(seed, i)
+        rankings.append(sample_mallows_loop(consensus, params.theta, 1, rng)[0])
+        ratings.append(rng.binomial(max_rating, params.p))
+    return np.array(ratings), np.array(rankings)
 
 
 def distance_moments_exhaustive(theta: float, n: int) -> tuple[float, float]:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mallows_binomial import (
+    ParamBounds,
     Params,
     SufficientStats,
     bootstrap,
@@ -122,6 +123,23 @@ def test_lan_check_validation():
         lan_check(SMALL, 50, 5, n_replications=0)
     with pytest.raises(ValueError, match="alpha"):
         lan_check(SMALL, 50, 5, n_replications=5, alpha=2.0)
+
+
+@pytest.mark.parametrize("theta", [60.0, 100.0])
+@pytest.mark.parametrize("study", [lan_check, coverage_study])
+def test_studies_refuse_true_theta_outside_the_box(study, theta):
+    # every estimate is clamped to theta_max = 50: once reported as full
+    # theta coverage from a standard error of about 5e20 (theta = 100)
+    params = Params(p=[0.2, 0.5, 0.8], theta=theta)
+    with pytest.raises(ValueError, match=rf"theta = {theta} .*\[1e-06, 50\.0\]"):
+        study(params, 50, 5, n_replications=3)
+
+
+def test_studies_refuse_true_theta_below_a_custom_box():
+    bounds = ParamBounds(theta_min=2.0, theta_max=10.0)
+    with pytest.raises(ValueError, match=r"theta = 1\.5 .*\[2\.0, 10\.0\]"):
+        lan_check(SMALL, 50, 5, n_replications=3, bounds=bounds)
+    lan_check(Params(p=[0.2, 0.5, 0.8], theta=10.0), 20, 5, n_replications=2, bounds=bounds)
 
 
 # ---------------------------------------------------------------------------

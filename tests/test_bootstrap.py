@@ -111,10 +111,14 @@ def test_replicate_stats_equal_resampled_dataset_stats():
     ]
     for data in panels:
         tables = _JudgeTables.from_dataset(data)
-        for seed in (0, 67):
+        for seed in (0, 67, 2**64 + 3):
+            block = tables.replicates(seed, 0, 12)
             for b in range(12):
                 got = tables.replicates(seed, b, b + 1)[0]
                 want = SufficientStats.from_dataset(resample(data, spawn_rng(seed, b)))
+                assert np.array_equal(block[b].xbar, want.xbar)
+                assert np.array_equal(block[b].pair_counts, want.pair_counts)
+                assert block[b].log_binom_const == want.log_binom_const
                 assert np.array_equal(got.xbar, want.xbar)
                 assert got.xbar.dtype == want.xbar.dtype
                 assert np.array_equal(got.pair_counts, want.pair_counts)

@@ -325,6 +325,19 @@ def test_cli_lan_check_at_huge_theta_fails_cleanly(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["lan-check", "coverage"])
+def test_cli_study_refuses_true_theta_outside_the_box(tmp_path, capsys, command):
+    out = tmp_path / "study.json"
+    status = run(
+        [command, "--p", "0.2,0.5,0.8", "--theta", "60", "--judges", "20",
+         "--M", "5", "--R", "2", "--out", str(out)]
+    )
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: true theta = 60.0 lies outside the theta box [1e-06, 50.0]")
+    assert not out.exists()
+
+
 def test_cli_missing_file_fails(tmp_path, capsys):
     status = run(["fit", "--ratings", "nope.csv", "--rankings", "nope2.csv", "--M", "5"])
     assert status == 1

@@ -13,7 +13,9 @@ from mallows_binomial import (
     kendall_distance,
 )
 from mallows_binomial.sampling import (
+    _STATE_BLOCK,
     _insertion_rankings,
+    _pcg64_states,
     derive_seed,
     sample_dataset,
     sample_mallows,
@@ -21,7 +23,12 @@ from mallows_binomial.sampling import (
     spawn_rng,
 )
 
-from .oracles import insertion_loop, mallows_pmf_exhaustive, sample_mallows_loop
+from .oracles import (
+    insertion_loop,
+    mallows_pmf_exhaustive,
+    sample_dataset_loop,
+    sample_mallows_loop,
+)
 
 
 def encode(rows: np.ndarray) -> np.ndarray:
@@ -71,6 +78,34 @@ def test_seed_validation():
         spawn_rng(-1)
     with pytest.raises(ValueError, match="non-negative"):
         derive_seed(3, -2)
+    with pytest.raises(ValueError, match="non-negative"):
+        _pcg64_states(-1, [0])
+
+
+def test_default_generator_is_pcg64():
+    # the bulk stream derivation restates PCG64's seeding; another default
+    # bit generator must fail here rather than change every seeded document
+    assert type(np.random.default_rng().bit_generator) is np.random.PCG64
+
+
+@pytest.mark.parametrize(
+    "seed",
+    # 2**128 + 5 has five entropy words, one more than the pool holds
+    [0, 7, 2**32 - 1, 2**32, 2**64 - 1, derive_seed(42, 5, 0), 2**128 + 5],
+)
+def test_pcg64_states_match_numpy_seeding(seed):
+    keys = [*range(64), 2**32 - 1]
+    want = [
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))).state["state"]
+        for k in keys
+    ]
+    assert _pcg64_states(seed, keys) == [(w["state"], w["inc"]) for w in want]
+
+
+@pytest.mark.parametrize("keys", [[2**32], [0, 2**32 + 5], [2**70], [-1]])
+def test_pcg64_states_refuse_keys_past_one_word(keys):
+    with pytest.raises(ValueError, match="stream keys"):
+        _pcg64_states(3, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +285,35 @@ def test_sample_dataset_rows_follow_sample_mallows_streams(params):
         assert np.array_equal(data.ratings[i], sample_ratings(params.p, 4, 1, rng)[0])
     if params.n_objects == 1 or params.theta == 40.0:
         assert np.all(data.rankings == consensus)
+
+
+def unchecked_params(p, theta) -> Params:
+    """Params with qualities the constructor refuses, such as exactly 0 or 1."""
+    params = object.__new__(Params)
+    object.__setattr__(params, "p", np.asarray(p, dtype=float))
+    object.__setattr__(params, "theta", float(theta))
+    return params
+
+
+@pytest.mark.parametrize(
+    "params, n_judges, max_rating, seed",
+    [
+        (PARAMS, 50, 5, 0),
+        (unchecked_params([0.0, 0.3, 1.0, 0.6], 0.8), 40, 7, 11),
+        (unchecked_params([1.0], 0.2), 20, 3, 5),
+        (Params(p=[0.3], theta=1.0), 25, 4, 2**64 + 1),
+        (Params(p=[0.7, 0.2, 0.55, 0.35, 0.9, 0.1], theta=0.6), 1, 40, 9),
+        (Params(p=[0.45, 0.5, 0.55], theta=0.05), 30, 1, 2**64 - 1),
+        (Params(p=[0.2, 0.8], theta=3.0), _STATE_BLOCK + 3, 5, 2**128 + 5),
+    ],
+    ids=["strong", "p-0-and-1", "one-object-p-1", "one-object", "one-judge", "near-null",
+         "past-one-block"],
+)
+def test_sample_dataset_matches_per_judge_generators(params, n_judges, max_rating, seed):
+    data = sample_dataset(params, n_judges, max_rating, seed)
+    ratings, rankings = sample_dataset_loop(params, n_judges, max_rating, seed)
+    assert data.ratings.tobytes() == ratings.astype(np.int64).tobytes()
+    assert data.rankings.tobytes() == rankings.astype(np.intp).tobytes()
 
 
 def test_sample_dataset_judges_differ():
