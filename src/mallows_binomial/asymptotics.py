@@ -145,6 +145,11 @@ def lan_check(
     ``theta`` outside the box of ``bounds`` raises ``ValueError``.
     """
     n_replications, alpha = _check_study_args(params, bounds, n_replications, alpha)
+    if n_replications < 2:
+        raise ValueError(
+            "the standard deviation of the standardized errors needs at least "
+            f"two replications, got {n_replications}"
+        )
     se = theoretical_se(params, max_rating, n_judges)
     z_crit = float(ndtri(1.0 - alpha / 2.0))
     truth = params.consensus()

@@ -17,7 +17,7 @@ Replicates are refitted a block at a time by the estimator's stacked fit,
 with one memo of concentration solves, keyed on the integer disagreement
 count, for every replicate of a job.  The estimator picks the search from
 the object count, as :func:`fit` does: up to 6 objects the exhaustive screen
-scores a block of replicates' candidates in one numpy pass; larger panels
+bounds a block of replicates' candidates in one numpy pass; larger panels
 are refitted one replicate per block with the best-first search.  The
 results are those of fitting each replicate on its own.  With ``workers`` >
 1, each worker process gets one job: a contiguous range of replicates.

@@ -34,12 +34,13 @@ __all__ = ["build_parser", "run", "main"]
 
 def _pair(flag: str):
     def parse(text: str) -> tuple[float, float]:
-        parts = text.split(",")
-        if len(parts) != 2:
+        try:
+            low, high = (float(part) for part in text.split(","))
+        except ValueError:
             raise argparse.ArgumentTypeError(
                 f"{flag} expects two comma-separated numbers, got {text!r}"
-            )
-        return float(parts[0]), float(parts[1])
+            ) from None
+        return low, high
 
     return parse
 
@@ -319,7 +320,7 @@ def _csv_lines(payload: dict) -> list[str]:
 
 def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     return "\n".join(_csv_lines(payload)) + "\n"
 
 

@@ -19,48 +19,40 @@ usually after profiling a small fraction of the permutations.  Which one
 runs is this module's decision alone: :func:`fit` and the bootstrap refits
 use the exhaustive screen up to 6 objects and the best-first search beyond.
 
-The exhaustive search is a screen in three steps, run over a stack of
-sufficient statistics that share the judge count, object count and rating
-scale (:func:`fit_exhaustive` is the stack of one; the bootstrap stacks its
-replicates).  The profile of a candidate is ``I * [R + g(D / I)] + const``,
-where ``R`` is the rating term at the order-constrained qualities, ``D`` the
-integer count of judge-pair disagreements with the candidate, and ``g(d) =
-max_theta [-theta d - log psi(theta)]``, which cannot increase with ``d``.
+Both searches apply one rule.  The profile of a candidate is ``I * [R +
+g(D / I)] + const``, where ``R`` is the rating term at the order-constrained
+qualities, ``D`` the integer count of judge-pair disagreements with the
+candidate, and ``g(d) = max_theta [-theta d - log psi(theta)]``.  A bound
+keeps ``R`` exact (isotonic fit by the min-max formula, box clip, Binomial
+term) and reads ``g`` off a cached table by linear interpolation, with no
+``theta`` solve: ``g`` is convex, so the chord between table points bounds
+it from above.  Whatever can still reach the best profile, within a slack,
+gets the scalar profile of :func:`profile_loglik`.  The profiles of one fit
+share a memo of :func:`theta_mle` solves keyed on ``D``; the solve depends
+only on ``D / I``, ``J`` and the box, so the memo changes no bit.  Every
+bound is admissible, so every maximiser is profiled, and ties go to the
+lexicographically smallest consensus: the winner, the tie-break and every
+reported number are those of the loop that profiles every permutation.
 
-1. Callers pass at most as many statistics as their J! candidates fit in
-   7! = 5040 rows.  One numpy pass gives ``R`` (isotonic fit by the min-max
-   formula, box clip, Binomial term) and ``D`` as ``(statistics, J!)``
-   matrices.  A candidate is dropped when another of the same statistics
-   beats its ``R`` by more than a slack with a ``D`` no larger (it cannot be
-   the optimum): one sort by ``D``, then by descending ``R``, finds them.
-2. ``g`` is evaluated once per distinct ``D`` among the survivors.  A memo
-   keyed on ``D`` keeps every :func:`theta_mle` solve of the call, and the
-   profiles of step 3 read it too; the solve depends only on ``D / I``,
-   ``J`` and the box, so the memo changes no bit.
-3. A dropped candidate scores ``-inf``.  Only the candidates within the
-   slack of their statistics' best score get the scalar profile of
-   :func:`profile_loglik`, by statistics and then in lexicographic order
-   with a strict ``>``, which is exactly the loop over all permutations
-   restricted to the only candidates that can win it.  The slack is orders
-   of magnitude above the rounding difference between the screen and the
-   scalar profile, so the winner, the tie-break and every reported number
-   are those of that loop.
+The exhaustive screen runs over a stack of sufficient statistics that share
+the judge count, object count and rating scale (:func:`fit_exhaustive` is
+the stack of one; the bootstrap stacks as many replicates as their J!
+candidates fit in 7! = 5040 rows).  One numpy pass bounds every candidate,
+a full ranking, as a ``(statistics, J!)`` matrix.  Each statistics profiles
+its highest bound first, then every candidate whose bound reaches that
+profile less the slack, in lexicographic order with a strict ``>``.
 
-The best-first search bounds all children of a prefix in one pass with the
-same decomposition.  The screen's kernel scores each child as one full
-ranking: the prefix, the child, then the other free objects by ascending
-mean rating.  Every completion keeps the free objects above the chain, and
-under that tree order the best ``R`` is the isotonic fit along this ranking
-(Robertson, Wright & Dykstra 1988), so ``R`` is exact.  Only ``D`` is
-relaxed, to its exact integer minimum over completions: decided pairs count
-their disagreements, undecided ones the smaller of their two orders.  ``g``
-is read off a cached table by linear interpolation, with no ``theta`` solve:
-``g`` is convex, so the chord between table points bounds it from above.
-Full rankings get the scalar :func:`profile_loglik`, with one memo of solves
-per search.  Because every bound is admissible, the search returns the
-result of exact bounds bit for bit; on every panel measured it also expanded
-and profiled as many candidates as bounding one child at a time with exact
-solves, though the chord's slack could cost a node elsewhere.
+The best-first search bounds all children of a prefix in one pass.  The
+screen's kernel scores each child as one full ranking: the prefix, the
+child, then the other free objects by ascending mean rating.  Every
+completion keeps the free objects above the chain, and under that tree order
+the best ``R`` is the isotonic fit along this ranking (Robertson, Wright &
+Dykstra 1988), so ``R`` is exact.  Only ``D`` is relaxed, to its exact
+integer minimum over completions: decided pairs count their disagreements,
+undecided ones the smaller of their two orders.  On every panel measured the
+search expanded and profiled as many candidates as bounding one child at a
+time with exact solves, though the chord's slack could cost a node
+elsewhere.
 """
 
 from __future__ import annotations
@@ -87,7 +79,6 @@ from .model import (
     _loglik_from_stats,
     as_ranking,
     expected_distance,
-    log_psi,
 )
 
 __all__ = [
@@ -109,10 +100,12 @@ __all__ = [
 # J = 8), except exact J!-way ties, where both profile all J! candidates
 _EXHAUSTIVE_MAX = 6
 
-# safety margin for pruning, in the best-first search and in the exhaustive
-# screen: bounds and screened scores are computed with different
-# floating-point operations than full profiles, so pruning must survive
-# rounding noise without ever discarding the true optimum
+# safety margin for pruning, in both searches: a candidate or prefix is
+# dropped only when its bound falls below the floor, the best profile so far
+# (the screen's is its highest bound's) less this share of 1 + |loglik|.
+# Bounds are computed with different floating-point operations than full
+# profiles, so the floor must survive rounding noise without ever
+# discarding the true optimum
 _PRUNE_SLACK = 1e-7
 
 
@@ -191,11 +184,14 @@ def profile_loglik(
     consensus = as_ranking(consensus, stats.n_objects)
     p = _constrained_p(stats.xbar, stats.max_rating, consensus, bounds)
     disagreements = stats._disagreements_with(consensus)
+    dbar = float(disagreements) / stats.n_judges
     memo = _stack_solves.get()
-    theta, clamped, _ = _concentration(
-        {} if memo is None else memo, disagreements, stats.n_judges, stats.n_objects, bounds
-    )
-    loglik = _loglik_from_stats(stats, p, theta, float(disagreements) / stats.n_judges)
+    if memo is None:
+        memo = {}
+    if disagreements not in memo:
+        memo[disagreements] = theta_mle(dbar, stats.n_objects, bounds)
+    theta, clamped = memo[disagreements]
+    loglik = _loglik_from_stats(stats, p, theta, dbar)
     return ProfileFit(
         consensus=consensus, p=p, theta=theta, theta_clamped=clamped, loglik=loglik
     )
@@ -217,24 +213,6 @@ def _sharing_solves(memo: dict):
         yield
     finally:
         _stack_solves.reset(token)
-
-
-def _concentration(
-    memo: dict, disagreements: int, n_judges: int, n_objects: int, bounds: ParamBounds
-) -> tuple[float, bool, float]:
-    """``(theta, clamped, g)`` at ``disagreements`` judge-pair disagreements.
-
-    ``g = -theta * dbar - log psi(theta)`` is the ranking term at the mean
-    distance ``dbar = disagreements / n_judges``.  :func:`theta_mle` runs once
-    per distinct count: ``memo`` keeps every solve, so it must only ever see
-    one judge count, object count and box.
-    """
-    entry = memo.get(disagreements)
-    if entry is None:
-        dbar = float(disagreements) / n_judges
-        theta, clamped = theta_mle(dbar, n_objects, bounds)
-        entry = memo[disagreements] = (theta, clamped, -theta * dbar - log_psi(theta, n_objects))
-    return entry
 
 
 @dataclass(frozen=True)
@@ -316,71 +294,51 @@ def _rating_terms(xbar: np.ndarray, max_rating: int, bounds: ParamBounds) -> np.
     return np.sum(xbar * np.log(p) + (max_rating - xbar) * np.log1p(-p), axis=1)
 
 
-def _undominated(rating: np.ndarray, disagreements: np.ndarray) -> np.ndarray:
-    """Mask of the candidates that no other candidate with a ``D`` no larger
-    beats on ``R`` by more than the slack.
-
-    Candidates lie along the last axis; each row along the leading axes is
-    screened on its own.
-    """
-    # by D, and within equal D by descending R: the running maximum at a
-    # candidate is then the best R over every candidate with a D no larger
-    order = np.lexsort((-rating, disagreements), axis=-1)
-    sorted_r = np.take_along_axis(rating, order, axis=-1)
-    running = np.maximum.accumulate(sorted_r, axis=-1)
-    slack = _PRUNE_SLACK * (1.0 + np.abs(running[..., -1:]))
-    keep = np.empty(rating.shape, dtype=bool)
-    np.put_along_axis(keep, order, sorted_r >= running - slack, axis=-1)
-    return keep
-
-
 def _fit_stack(
     stack: list[SufficientStats], bounds: ParamBounds, memo: dict
 ) -> list[FitResult]:
     """Joint MLE for every statistics in ``stack``, in order.
 
     The statistics must share the object count, judge count and rating
-    scale; ``memo`` caches concentration solves for that judge count, object
-    count and ``bounds`` (:func:`_concentration`), and every profile reads
-    it.  Up to ``_EXHAUSTIVE_MAX`` objects the stack (at most
-    ``_stack_block(J)`` statistics) is screened in one pass, each result the
-    one :func:`fit_exhaustive` gives alone; past it, each statistics is
-    fitted by :func:`fit_best_first`.  The memo is exact: no bit changes.
+    scale; ``memo`` keeps the :func:`theta_mle` solves of every profile,
+    keyed on the disagreement count, so it must only ever see one judge
+    count, object count and ``bounds``.  The memo is exact: no bit changes.
+    Up to ``_EXHAUSTIVE_MAX`` objects the stack (at most ``_stack_block(J)``
+    statistics) goes through the screen in one pass, past it each
+    statistics through :func:`fit_best_first`; both apply the rule of the
+    module docstring, and each result is the one :func:`fit_exhaustive`
+    gives alone.
     """
     with _sharing_solves(memo):
         if stack[0].n_objects > _EXHAUSTIVE_MAX:
             return [fit_best_first(stats, bounds) for stats in stack]
-        return _screen_stack(stack, bounds, memo)
+        return _screen_stack(stack, bounds)
 
 
-def _screen_stack(
-    stack: list[SufficientStats], bounds: ParamBounds, memo: dict
-) -> list[FitResult]:
-    """The exhaustive screen of :func:`_fit_stack`: one pass over the
-    ``(statistics, J!)`` score matrix."""
-    n = stack[0].n_objects
+def _screen_stack(stack: list[SufficientStats], bounds: ParamBounds) -> list[FitResult]:
+    """The exhaustive screen of :func:`_fit_stack`: bound every row of the
+    ``(statistics, J!)`` candidate matrix, then profile the rows that can
+    reach their statistics' best profile."""
+    n, n_judges = stack[0].n_objects, stack[0].n_judges
     perms = _lex_permutations(n)
-    # step 1: R and D of every candidate of every statistics in one pass
     xbar = np.stack([stats.xbar for stats in stack])
     rating = _rating_terms(
         xbar[:, perms].reshape(-1, n), stack[0].max_rating, bounds
     ).reshape(len(stack), -1)
     disagreements = _disagreements(np.stack([stats.pair_counts for stats in stack]), perms)
-    keep = _undominated(rating, disagreements)
-    # step 2: the ranking term once per distinct D among the survivors; a
-    # dominated candidate scores -inf, and every row keeps its best R
-    distinct, index = np.unique(disagreements[keep], return_inverse=True)
-    ranking = np.array(
-        [_concentration(memo, d, stack[0].n_judges, n, bounds)[2] for d in distinct.tolist()]
-    )
-    score = np.full(rating.shape, -np.inf)
-    score[keep] = rating[keep] + ranking[index]
-    top = score.max(axis=1, keepdims=True)
-    # step 3: scalar profiles of the candidates that can win, by statistics
-    # and then in lexicographic order with a strict ">", reading the same memo
+    ranking = _concentration_terms(disagreements / n_judges, n, bounds)
+    constant = np.array([stats.log_binom_const for stats in stack])
+    bound = n_judges * (rating + ranking) + constant[:, None]
+    # the highest bound's profile sets each statistics' floor; every row
+    # that reaches it is profiled, by statistics and then in lexicographic
+    # order with a strict ">", which is the loop over all permutations
+    # restricted to the only candidates that can win it
+    first = bound.argmax(axis=1).tolist()
+    tops = [profile_loglik(stats, perms[row], bounds) for stats, row in zip(stack, first)]
+    top = np.array([fit.loglik for fit in tops])[:, None]
     best: list[ProfileFit | None] = [None] * len(stack)
-    for s, row in zip(*np.nonzero(score >= top - _PRUNE_SLACK * (1.0 + np.abs(top)))):
-        candidate = profile_loglik(stack[s], perms[row], bounds)
+    for s, row in zip(*np.nonzero(bound >= top - _PRUNE_SLACK * (1.0 + np.abs(top)))):
+        candidate = tops[s] if row == first[s] else profile_loglik(stack[s], perms[row], bounds)
         if best[s] is None or candidate.loglik > best[s].loglik:
             best[s] = candidate
     return [_result(winner, "exhaustive", math.factorial(n), 0) for winner in best]
@@ -390,8 +348,8 @@ def fit_exhaustive(data, bounds: ParamBounds = DEFAULT_BOUNDS) -> FitResult:
     """Joint MLE over every consensus permutation.
 
     Ties in the profiled log-likelihood go to the lexicographically smallest
-    consensus.  Every permutation is scored by the screen described in the
-    module docstring; only those within the slack of the best get a full
+    consensus.  Every permutation is bounded by the screen of the module
+    docstring; only those whose bound can reach the best profile get a full
     profile, and the result is the one profiling all of them would give.
     Refuses to run past 6 objects (the candidate count grows factorially);
     :func:`fit_best_first`, or :func:`fit`, returns the same optimum there.

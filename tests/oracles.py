@@ -1,9 +1,9 @@
 """Brute-force reference implementations used only by the tests.
 
 Everything here is deliberately naive and, with one exception, independent of
-the package code: pair-by-pair distance counting and dominance checks,
-exhaustive sums over all J! permutations, term-by-term density products, and
-grid searches.  Slow is fine; these run only at small sizes.
+the package code: pair-by-pair distance counting, exhaustive sums over all J!
+permutations, term-by-term density products, and grid searches.  Slow is
+fine; these run only at small sizes.
 
 The exceptions are the scalar loops:
 :func:`fit_exhaustive_loop` runs one profile per permutation,
@@ -255,23 +255,6 @@ def fit_exhaustive_loop(data, bounds=DEFAULT_BOUNDS):
         if best is None or candidate.loglik > best.loglik:
             best = candidate
     return best, count
-
-
-def undominated_pairs(rating, disagreements) -> np.ndarray:
-    """The exhaustive screen's dominance mask, one pair of candidates at a time.
-
-    In each row, a candidate is dropped when another has a disagreement
-    count no larger and a rating term above it by more than the slack,
-    ``_PRUNE_SLACK * (1 + |largest rating term of the row|)``.
-    """
-    keep = np.ones(rating.shape, dtype=bool)
-    for s in range(rating.shape[0]):
-        row_r, row_d = rating[s].tolist(), disagreements[s].tolist()
-        slack = _PRUNE_SLACK * (1.0 + abs(max(row_r)))
-        for i, j in itertools.permutations(range(len(row_r)), 2):
-            if row_d[j] <= row_d[i] and row_r[j] - slack > row_r[i]:
-                keep[s, i] = False
-    return keep
 
 
 def prefix_bound(stats, prefix, free, bounds) -> float:

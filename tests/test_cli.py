@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -336,6 +337,45 @@ def test_cli_study_refuses_true_theta_outside_the_box(tmp_path, capsys, command)
     err = capsys.readouterr().err
     assert err.startswith("error: true theta = 60.0 lies outside the theta box [1e-06, 50.0]")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["-", "lan.json"])
+def test_cli_lan_check_refuses_one_replication(tmp_path, capsys, out):
+    # one replication has no standard deviation, which would be NaN
+    target = "-" if out == "-" else str(tmp_path / out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = run(
+            ["lan-check", "--p", "0.2,0.5,0.8", "--theta", "1", "--judges", "50",
+             "--M", "5", "--R", "1", "--out", target]
+        )
+    assert status == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "two replications" in captured.err
+    assert not (tmp_path / out).exists()
+
+
+def test_cli_refuses_to_write_non_json_numbers(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "nan.json"
+    monkeypatch.setitem(cli._HANDLERS, "lan-check", lambda args: {"sd": float("nan")})
+    status = run(
+        ["lan-check", "--p", "0.2,0.5,0.8", "--theta", "1", "--judges", "50",
+         "--M", "5", "--out", str(out)]
+    )
+    assert status == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--p-bounds", "--theta-bounds"])
+@pytest.mark.parametrize("value", ["a,b", "0.1,x", "0.1", "1,2,3"])
+def test_cli_malformed_bounds_name_the_flag(capsys, flag, value):
+    status = run(["fit", "--ratings", "a", "--rankings", "b", "--M", "5", flag, value])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert f"{flag} expects two comma-separated numbers, got {value!r}" in err
+    assert "parse" not in err
 
 
 def test_cli_missing_file_fails(tmp_path, capsys):
