@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .bootstrap import _bootstrap, _check_bootstrap_args, _worker_pool
+from .bootstrap import _check_bootstrap_args, _fan_out, bootstrap_fit
 from .estimation import fit
 from .model import DEFAULT_BOUNDS, ParamBounds, Params, distance_variance
 from .sampling import derive_seed, sample_dataset
@@ -107,9 +107,7 @@ class CoverageReport:
         return asdict(self)
 
 
-def _check_study_args(
-    params: Params, bounds: ParamBounds, n_replications: int, alpha: float
-) -> tuple[int, float]:
+def _check_study_args(params, bounds, n_judges, max_rating, n_replications, alpha):
     # every fit clamps theta to the box, so a truth outside it is never covered
     # and its standard error says nothing about the clamped estimates
     if not bounds.theta_min <= params.theta <= bounds.theta_max:
@@ -117,6 +115,10 @@ def _check_study_args(
             f"true theta = {params.theta} lies outside the theta box "
             f"[{bounds.theta_min}, {bounds.theta_max}] every fit is clamped to"
         )
+    if int(n_judges) < 1:
+        raise ValueError(f"need at least one judge, got {n_judges}")
+    if int(max_rating) < 1:
+        raise ValueError(f"max_rating must be a positive integer, got {max_rating}")
     n_replications = int(n_replications)
     if n_replications < 1:
         raise ValueError(f"need at least one replication, got {n_replications}")
@@ -144,7 +146,9 @@ def lan_check(
     each coverage approach ``1 - alpha`` as the judge count grows.  A true
     ``theta`` outside the box of ``bounds`` raises ``ValueError``.
     """
-    n_replications, alpha = _check_study_args(params, bounds, n_replications, alpha)
+    n_replications, alpha = _check_study_args(
+        params, bounds, n_judges, max_rating, n_replications, alpha
+    )
     if n_replications < 2:
         raise ValueError(
             "the standard deviation of the standardized errors needs at least "
@@ -182,6 +186,23 @@ def lan_check(
     )
 
 
+def _replications(job) -> tuple[np.ndarray, ...]:
+    """Bootstraps of replications ``start..stop-1`` of one study, in order.
+
+    ``job`` is ``(params, n_judges, max_rating, n_bootstrap, alpha, seed,
+    bounds, start, stop)``.  Returns the stacked quality and concentration
+    intervals, clamp rates and whether each point fit recovered the consensus.
+    """
+    params, n_judges, max_rating, n_bootstrap, alpha, seed, bounds, start, stop = job
+    rows = []
+    for r in range(start, stop):
+        data = sample_dataset(params, n_judges, max_rating, derive_seed(seed, r, 0))
+        boot = bootstrap_fit(data, n_bootstrap, alpha, derive_seed(seed, r, 1), bounds)
+        recovered = np.array_equal(boot.point.consensus, params.consensus())
+        rows.append((boot.p_intervals, boot.theta_interval, boot.clamp_rate, recovered))
+    return tuple(np.array(column) for column in zip(*rows))
+
+
 def coverage_study(
     params: Params,
     n_judges: int,
@@ -198,39 +219,21 @@ def coverage_study(
     Each replication simulates a dataset from ``params``, runs the full
     bootstrap pipeline on it, and records whether each parameter's interval
     covers the truth.  Valid intervals make every coverage approach
-    ``1 - alpha``.  With ``workers`` > 1, every replication's bootstrap runs
-    on one process pool that lives as long as the study.  A true ``theta``
-    outside the box of ``bounds`` raises ``ValueError``.
+    ``1 - alpha``.  With ``workers`` > 1, the replications split into
+    contiguous ranges, one per process, this one included; each range runs
+    whole replications.  A true ``theta`` outside the box of ``bounds``
+    raises ``ValueError``.
     """
-    n_replications, alpha = _check_study_args(params, bounds, n_replications, alpha)
+    n_replications, alpha = _check_study_args(
+        params, bounds, n_judges, max_rating, n_replications, alpha
+    )
     n_bootstrap, workers = _check_bootstrap_args(n_bootstrap, alpha, workers)
-    truth = params.consensus()
-    p_covered = np.empty((n_replications, params.n_objects), dtype=bool)
-    theta_covered = np.empty(n_replications, dtype=bool)
-    p_width = np.empty((n_replications, params.n_objects))
-    theta_width = np.empty(n_replications)
-    clamp = np.empty(n_replications)
-    recovered = np.empty(n_replications, dtype=bool)
-    with _worker_pool(workers) as pool:
-        for r in range(n_replications):
-            data = sample_dataset(params, n_judges, max_rating, derive_seed(seed, r, 0))
-            boot = _bootstrap(
-                data,
-                n_bootstrap,
-                alpha,
-                derive_seed(seed, r, 1),
-                bounds,
-                workers,
-                pool,
-            )
-            lows, highs = boot.p_intervals[:, 0], boot.p_intervals[:, 1]
-            p_covered[r] = (lows <= params.p) & (params.p <= highs)
-            lo, hi = boot.theta_interval
-            theta_covered[r] = lo <= params.theta <= hi
-            p_width[r] = highs - lows
-            theta_width[r] = hi - lo
-            clamp[r] = boot.clamp_rate
-            recovered[r] = np.array_equal(boot.point.consensus, truth)
+    p_intervals, theta_intervals, clamp, recovered = _fan_out(
+        _replications, n_replications, workers,
+        params, n_judges, max_rating, n_bootstrap, alpha, seed, bounds,
+    )
+    (lows, highs), (lo, hi) = np.moveaxis(p_intervals, -1, 0), theta_intervals.T
+    p_covered = (lows <= params.p) & (params.p <= highs)
     return CoverageReport(
         kind="bootstrap",
         p_true=tuple(float(v) for v in params.p),
@@ -243,9 +246,9 @@ def coverage_study(
         seed=int(seed),
         consensus_recovery_rate=float(recovered.mean()),
         p_coverage=tuple(float(v) for v in p_covered.mean(axis=0)),
-        theta_coverage=float(theta_covered.mean()),
+        theta_coverage=float(((lo <= params.theta) & (params.theta <= hi)).mean()),
         n_bootstrap=int(n_bootstrap),
-        p_interval_width=tuple(float(v) for v in p_width.mean(axis=0)),
-        theta_interval_width=float(theta_width.mean()),
+        p_interval_width=tuple(float(v) for v in (highs - lows).mean(axis=0)),
+        theta_interval_width=float((hi - lo).mean()),
         theta_clamp_rate=float(clamp.mean()),
     )

@@ -20,7 +20,9 @@ the object count, as :func:`fit` does: up to 6 objects the exhaustive screen
 bounds a block of replicates' candidates in one numpy pass; larger panels
 are refitted one replicate per block with the best-first search.  The
 results are those of fitting each replicate on its own.  With ``workers`` >
-1, each worker process gets one job: a contiguous range of replicates.
+1, the replicates split into ``workers`` contiguous ranges: the calling
+process refits the first while a pool of ``workers - 1`` processes refits
+the others.  :func:`coverage_study` fans whole replications out the same way.
 
 Replicate ``b`` draws from the dedicated stream ``(seed, b)``, so results are
 identical no matter how replicates are scheduled, and adding replicates
@@ -29,7 +31,6 @@ extends the existing ones instead of reshuffling them.
 
 from __future__ import annotations
 
-import contextlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -191,14 +192,23 @@ def _check_bootstrap_args(n_replicates: int, alpha: float, workers: int) -> tupl
     return n_replicates, workers
 
 
-@contextlib.contextmanager
-def _worker_pool(workers: int):
-    """A process pool of ``workers`` processes, or None for one worker."""
-    if workers == 1:
-        yield None
+def _fan_out(job, n: int, workers: int, *args) -> list[np.ndarray]:
+    """``job((*args, start, stop))`` over ``0..n-1`` in at most ``workers`` ranges.
+
+    The ranges are contiguous.  The calling process runs the first while a
+    pool of one process per other range runs the rest; a single range starts
+    no pool.  Each job returns a tuple of arrays with one row per index, and
+    the columns are concatenated in range order.
+    """
+    edges = np.linspace(0, n, workers + 1).round().astype(int).tolist()
+    jobs = [(*args, start, stop) for start, stop in zip(edges, edges[1:]) if start < stop]
+    if len(jobs) == 1:
+        parts = [job(jobs[0])]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield pool
+        with ProcessPoolExecutor(max_workers=len(jobs) - 1) as pool:
+            rest = pool.map(job, jobs[1:])  # submitted before this process runs its own
+            parts = [job(jobs[0]), *rest]
+    return [np.concatenate(column) for column in zip(*parts)]
 
 
 def bootstrap_fit(
@@ -211,39 +221,15 @@ def bootstrap_fit(
 ) -> BootstrapResult:
     """Fit the model and bootstrap every parameter's percentile interval.
 
-    ``workers`` > 1 distributes replicates over processes; the output is
-    byte-identical for any worker count because replicate ``b`` is fully
-    determined by ``(seed, b)`` and results are collected in replicate order.
+    ``workers`` > 1 distributes replicates over that many processes, this one
+    included; the output is byte-identical for any worker count because
+    replicate ``b`` is fully determined by ``(seed, b)`` and results are
+    collected in replicate order.
     """
     n_replicates, workers = _check_bootstrap_args(n_replicates, alpha, workers)
-    with _worker_pool(workers) as pool:
-        return _bootstrap(data, n_replicates, alpha, seed, bounds, workers, pool)
-
-
-def _bootstrap(
-    data: Dataset,
-    n_replicates: int,
-    alpha: float,
-    seed,
-    bounds: ParamBounds,
-    workers: int,
-    pool,
-) -> BootstrapResult:
-    """:func:`bootstrap_fit` for checked arguments, on ``pool`` when ``workers`` > 1."""
     point = fit(data, bounds)
-    tables = _JudgeTables.from_dataset(data)
-    edges = np.linspace(0, n_replicates, workers + 1).round().astype(int).tolist()
-    jobs = [
-        (tables, seed, bounds, start, stop)
-        for start, stop in zip(edges, edges[1:])
-        if start < stop
-    ]
-    if pool is None:
-        parts = [_fit_replicates(job) for job in jobs]
-    else:
-        parts = list(pool.map(_fit_replicates, jobs))
-    p_samples, theta_samples, consensus_samples, clamped = (
-        np.concatenate(column) for column in zip(*parts)
+    p_samples, theta_samples, consensus_samples, clamped = _fan_out(
+        _fit_replicates, n_replicates, workers, _JudgeTables.from_dataset(data), seed, bounds
     )
     p_intervals = np.array(
         [percentile_interval(p_samples[:, j], alpha) for j in range(data.n_objects)]

@@ -31,6 +31,8 @@ from .sampling import sample_dataset
 
 __all__ = ["build_parser", "run", "main"]
 
+_THREADS_HELP = "processes to use, this one included"
+
 
 def _pair(flag: str):
     def parse(text: str) -> tuple[float, float]:
@@ -117,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_boot.add_argument("--B", type=int, default=1000, help="bootstrap replicates")
     p_boot.add_argument("--alpha", type=float, default=0.10, help="interval miss rate")
     p_boot.add_argument("--seed", type=int, default=0, help="root random seed")
-    p_boot.add_argument("--threads", type=int, default=1, help="worker process cap")
+    p_boot.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     _add_bounds_flags(p_boot)
     _add_output_flags(p_boot)
 
@@ -137,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cov.add_argument("--R", type=int, default=300, help="simulation replications")
     p_cov.add_argument("--B", type=int, default=200, help="bootstrap replicates per panel")
     p_cov.add_argument("--alpha", type=float, default=0.10, help="interval miss rate")
-    p_cov.add_argument("--threads", type=int, default=1, help="worker process cap")
+    p_cov.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     _add_bounds_flags(p_cov)
     _add_output_flags(p_cov)
 

@@ -145,7 +145,7 @@ def theta_mle(
     clamps to the nearer box edge and the second return value is True.
     """
     dbar = float(dbar)
-    if dbar < 0.0:
+    if not dbar >= 0.0:  # also refuses NaN
         raise ValueError(f"mean distance must be non-negative, got {dbar}")
     if dbar <= expected_distance(bounds.theta_max, n_objects):
         return bounds.theta_max, True

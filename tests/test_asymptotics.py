@@ -10,7 +10,6 @@ from mallows_binomial import (
     ParamBounds,
     Params,
     SufficientStats,
-    bootstrap,
     distance_mean_var,
     distance_variance,
     sample_dataset,
@@ -175,22 +174,26 @@ def test_coverage_study_deterministic():
     assert coverage_study(SMALL, **kwargs) == coverage_study(SMALL, **kwargs)
 
 
-def test_coverage_study_starts_one_pool(monkeypatch):
-    # every replication's bootstrap shares one process pool, and the pool
+def test_coverage_study_starts_one_pool(pool_starts):
+    # one pool per study, with one process beside the caller, and the pool
     # changes no number of the report
-    starts = []
-
-    class CountingPool(bootstrap.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            starts.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(bootstrap, "ProcessPoolExecutor", CountingPool)
     kwargs = dict(n_judges=40, max_rating=5, n_replications=4, n_bootstrap=25, seed=19)
     parallel = coverage_study(SMALL, workers=2, **kwargs)
-    assert starts == [2]
+    assert pool_starts == [1]
     assert parallel == coverage_study(SMALL, workers=1, **kwargs)
-    assert starts == [2]
+    assert pool_starts == [1]
+
+
+@pytest.mark.parametrize(
+    "size, message",
+    [(dict(n_judges=0), "judge"), (dict(max_rating=0), "max_rating")],
+    ids=["n_judges", "max_rating"],
+)
+def test_coverage_study_refuses_panel_size_before_any_pool(pool_starts, size, message):
+    kwargs = dict(n_judges=40, max_rating=5, n_replications=4, n_bootstrap=5, workers=2)
+    with pytest.raises(ValueError, match=message):
+        coverage_study(SMALL, **{**kwargs, **size})
+    assert pool_starts == []
 
 
 def test_coverage_interval_width_scales_with_judges():

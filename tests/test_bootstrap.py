@@ -1,10 +1,13 @@
 """Bootstrap mechanics: resampling, percentile rule, determinism, workers."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from mallows_binomial import Dataset, Params, SufficientStats, sample_dataset, spawn_rng
 from mallows_binomial.bootstrap import (
+    _fan_out,
     _JudgeTables,
     bootstrap_fit,
     percentile_interval,
@@ -162,6 +165,41 @@ def test_bootstrap_fit_workers_match():
     assert serial.theta_samples.tobytes() == parallel.theta_samples.tobytes()
     assert serial.theta_interval == parallel.theta_interval
     assert serial.consensus_agreement == parallel.consensus_agreement
+
+
+def test_bootstrap_fit_uneven_ranges_match_one_process(pool_starts):
+    # 5 replicates in 3 ranges (2, 1, 2): the caller runs one, a pool of 2 the rest
+    data = sample_dataset(PARAMS, 30, 5, seed=59)
+    parallel = bootstrap_fit(data, n_replicates=5, seed=61, workers=3)
+    assert pool_starts == [2]
+    serial = bootstrap_fit(data, n_replicates=5, seed=61, workers=1)
+    assert pool_starts == [2]
+    for name in ("p_samples", "theta_samples", "consensus_samples", "p_intervals"):
+        assert getattr(serial, name).tobytes() == getattr(parallel, name).tobytes()
+    assert serial.theta_interval == parallel.theta_interval
+    assert serial.clamp_rate == parallel.clamp_rate
+
+
+def test_bootstrap_fit_one_replicate_starts_no_pool(pool_starts):
+    data = sample_dataset(PARAMS, 30, 5, seed=67)
+    assert bootstrap_fit(data, n_replicates=1, seed=71, workers=2).n_replicates == 1
+    assert pool_starts == []
+
+
+def _fail_in_range(job):
+    """Fan-out job that raises in the range starting at ``failing_start``."""
+    failing_start, start, stop = job
+    if start == failing_start:
+        raise ValueError(f"range {start}..{stop - 1} failed")
+    return (np.arange(start, stop),)
+
+
+@pytest.mark.parametrize("failing_start", [0, 4], ids=["caller", "worker"])
+def test_fan_out_error_reaches_the_caller(failing_start):
+    # ranges 0..3 (this process) and 4..7 (the pool's one worker)
+    with pytest.raises(ValueError, match=f"range {failing_start}"):
+        _fan_out(_fail_in_range, 8, 2, failing_start)
+    assert multiprocessing.active_children() == []
 
 
 def test_bootstrap_fit_unanimous_data_collapses():

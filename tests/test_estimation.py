@@ -155,6 +155,11 @@ def test_theta_mle_rejects_negative():
         theta_mle(-0.1, 4)
 
 
+def test_theta_mle_rejects_nan():
+    with pytest.raises(ValueError, match="non-negative"):
+        theta_mle(float("nan"), 4)
+
+
 def test_theta_mle_monotone_in_dbar():
     estimates = [theta_mle(d, 5)[0] for d in np.linspace(0.3, 4.5, 15)]
     assert np.all(np.diff(estimates) < 0.0)
