@@ -27,8 +27,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from .bootstrap import _check_bootstrap_args, _fan_out, bootstrap_fit
-from .estimation import fit
-from .model import DEFAULT_BOUNDS, ParamBounds, Params, distance_variance
+from .estimation import _sharing_solves, fit
+from .model import DEFAULT_BOUNDS, ParamBounds, Params, _count, distance_variance
 from .sampling import derive_seed, sample_dataset
 
 __all__ = ["StandardErrors", "theoretical_se", "CoverageReport", "lan_check", "coverage_study"]
@@ -52,12 +52,8 @@ def theoretical_se(params: Params, max_rating: int, n_judges: int) -> StandardEr
     ``ValueError`` when ``theta`` is so large (about 375 and beyond) that
     ``(kappa')^2`` underflows to zero.
     """
-    max_rating = int(max_rating)
-    n_judges = int(n_judges)
-    if max_rating < 1:
-        raise ValueError(f"max_rating must be a positive integer, got {max_rating}")
-    if n_judges < 1:
-        raise ValueError(f"need at least one judge, got {n_judges}")
+    max_rating = _count(max_rating, "max_rating")
+    n_judges = _count(n_judges, "n_judges")
     p_se = np.sqrt(params.p * (1.0 - params.p) / (max_rating * n_judges))
     var = distance_variance(params.theta, params.n_objects)
     kappa_prime = -var
@@ -115,10 +111,8 @@ def _check_study_args(params, bounds, n_judges, max_rating, n_replications, alph
             f"true theta = {params.theta} lies outside the theta box "
             f"[{bounds.theta_min}, {bounds.theta_max}] every fit is clamped to"
         )
-    if int(n_judges) < 1:
-        raise ValueError(f"need at least one judge, got {n_judges}")
-    if int(max_rating) < 1:
-        raise ValueError(f"max_rating must be a positive integer, got {max_rating}")
+    _count(n_judges, "n_judges")
+    _count(max_rating, "max_rating")
     n_replications = int(n_replications)
     if n_replications < 1:
         raise ValueError(f"need at least one replication, got {n_replications}")
@@ -190,16 +184,19 @@ def _replications(job) -> tuple[np.ndarray, ...]:
     """Bootstraps of replications ``start..stop-1`` of one study, in order.
 
     ``job`` is ``(params, n_judges, max_rating, n_bootstrap, alpha, seed,
-    bounds, start, stop)``.  Returns the stacked quality and concentration
-    intervals, clamp rates and whether each point fit recovered the consensus.
+    bounds, start, stop)``.  Every fit of the range, point fits included,
+    shares one memo of concentration solves.  Returns the stacked quality and
+    concentration intervals, clamp rates and whether each point fit recovered
+    the consensus.
     """
     params, n_judges, max_rating, n_bootstrap, alpha, seed, bounds, start, stop = job
     rows = []
-    for r in range(start, stop):
-        data = sample_dataset(params, n_judges, max_rating, derive_seed(seed, r, 0))
-        boot = bootstrap_fit(data, n_bootstrap, alpha, derive_seed(seed, r, 1), bounds)
-        recovered = np.array_equal(boot.point.consensus, params.consensus())
-        rows.append((boot.p_intervals, boot.theta_interval, boot.clamp_rate, recovered))
+    with _sharing_solves():
+        for r in range(start, stop):
+            data = sample_dataset(params, n_judges, max_rating, derive_seed(seed, r, 0))
+            boot = bootstrap_fit(data, n_bootstrap, alpha, derive_seed(seed, r, 1), bounds)
+            recovered = np.array_equal(boot.point.consensus, params.consensus())
+            rows.append((boot.p_intervals, boot.theta_interval, boot.clamp_rate, recovered))
     return tuple(np.array(column) for column in zip(*rows))
 
 

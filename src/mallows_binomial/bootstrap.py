@@ -13,9 +13,9 @@ every replicate's sufficient statistics.  Every sum is an exact integer, so
 the statistics are bit for bit those of the resampled dataset, without
 building it.
 
-Replicates are refitted a block at a time by the estimator's stacked fit,
-with one memo of concentration solves, keyed on the integer disagreement
-count, for every replicate of a job.  The estimator picks the search from
+Replicates are refitted a block at a time by the estimator's stacked fit.
+The refits of one range share a memo of concentration solves, keyed on the
+solver's own arguments, which lives as long as the range.  The estimator picks the search from
 the object count, as :func:`fit` does: up to 6 objects the exhaustive screen
 bounds a block of replicates' candidates in one numpy pass; larger panels
 are refitted one replicate per block with the best-first search.  The
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import FitResult, _fit_stack, _stack_block, fit
+from .estimation import FitResult, _fit_stack, _sharing_solves, _stack_block, fit
 from .model import (
     DEFAULT_BOUNDS,
     Dataset,
@@ -162,16 +162,17 @@ def _fit_replicates(job) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
 
     ``job`` is ``(tables, seed, bounds, start, stop)``.  One screen block
     of replicates at a time is built (so ``W`` never has more rows than a
-    block) and refitted as a stack, with one memo of concentration solves
-    for the whole job.  Returns the stacked qualities, concentrations,
-    consensus rankings and clamp flags.
+    block) and refitted as a stack.  The job's refits share one memo of
+    concentration solves, or the enclosing range's (see
+    :func:`~mallows_binomial.estimation._sharing_solves`).  Returns the
+    stacked qualities, concentrations, consensus rankings and clamp flags.
     """
     tables, seed, bounds, start, stop = job
-    memo: dict = {}
     size = _stack_block(tables.ratings.shape[1])
     fits = []
-    for lo in range(start, stop, size):
-        fits += _fit_stack(tables.replicates(seed, lo, min(lo + size, stop)), bounds, memo)
+    with _sharing_solves():
+        for lo in range(start, stop, size):
+            fits += _fit_stack(tables.replicates(seed, lo, min(lo + size, stop)), bounds)
     return (
         np.array([refit.p for refit in fits]),
         np.array([refit.theta for refit in fits]),

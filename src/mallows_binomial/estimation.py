@@ -27,12 +27,14 @@ keeps ``R`` exact (isotonic fit by the min-max formula, box clip, Binomial
 term) and reads ``g`` off a cached table by linear interpolation, with no
 ``theta`` solve: ``g`` is convex, so the chord between table points bounds
 it from above.  Whatever can still reach the best profile, within a slack,
-gets the scalar profile of :func:`profile_loglik`.  The profiles of one fit
-share a memo of :func:`theta_mle` solves keyed on ``D``; the solve depends
-only on ``D / I``, ``J`` and the box, so the memo changes no bit.  Every
-bound is admissible, so every maximiser is profiled, and ties go to the
-lexicographically smallest consensus: the winner, the tie-break and every
-reported number are those of the loop that profiles every permutation.
+gets the scalar profile of :func:`profile_loglik`.  Profiles share a memo
+of :func:`theta_mle` solves keyed on that function's own arguments, ``(D /
+I, J, box)``, so a hit returns what the call would have and no bit changes;
+the memo lives as long as the outermost fit or bootstrap range that opened
+it.  Every bound is admissible, so every maximiser is profiled, and ties go
+to the lexicographically smallest consensus: the winner, the tie-break and
+every reported number are those of the loop that profiles every
+permutation.
 
 The exhaustive screen runs over a stack of sufficient statistics that share
 the judge count, object count and rating scale (:func:`fit_exhaustive` is
@@ -185,34 +187,33 @@ def profile_loglik(
     p = _constrained_p(stats.xbar, stats.max_rating, consensus, bounds)
     disagreements = stats._disagreements_with(consensus)
     dbar = float(disagreements) / stats.n_judges
-    memo = _stack_solves.get()
-    if memo is None:
-        memo = {}
-    if disagreements not in memo:
-        memo[disagreements] = theta_mle(dbar, stats.n_objects, bounds)
-    theta, clamped = memo[disagreements]
+    key = (dbar, stats.n_objects, bounds)
+    memo = _solves.get({})
+    if key not in memo:
+        memo[key] = theta_mle(dbar, stats.n_objects, bounds)
+    theta, clamped = memo[key]
     loglik = _loglik_from_stats(stats, p, theta, dbar)
     return ProfileFit(
         consensus=consensus, p=p, theta=theta, theta_clamped=clamped, loglik=loglik
     )
 
 
-# the concentration memo of the fit running in this context, if any.  Its
-# profiles go through the public profile_loglik, which keeps its signature
-# (wrappers of it, such as bench/tracing.py, see every profile), and read
-# the solves from here; _sharing_solves sets and resets it
-_stack_solves: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "_stack_solves", default=None
-)
+# the theta_mle solves of the enclosing _sharing_solves block, keyed on
+# theta_mle's arguments, so any statistics, object count and box may share
+# it.  Profiles go through the public profile_loglik, which keeps its
+# signature (wrappers of it, such as bench/tracing.py, see every profile),
+# and read the memo from here; outside any block each profile solves alone
+_solves: contextvars.ContextVar[dict] = contextvars.ContextVar("_solves")
 
 
 @contextlib.contextmanager
-def _sharing_solves(memo: dict):
-    token = _stack_solves.set(memo)
+def _sharing_solves():
+    """Join the enclosing block's memo, or open a fresh one for this block."""
+    token = _solves.set(_solves.get({}))
     try:
         yield
     finally:
-        _stack_solves.reset(token)
+        _solves.reset(token)
 
 
 @dataclass(frozen=True)
@@ -294,22 +295,19 @@ def _rating_terms(xbar: np.ndarray, max_rating: int, bounds: ParamBounds) -> np.
     return np.sum(xbar * np.log(p) + (max_rating - xbar) * np.log1p(-p), axis=1)
 
 
-def _fit_stack(
-    stack: list[SufficientStats], bounds: ParamBounds, memo: dict
-) -> list[FitResult]:
+def _fit_stack(stack: list[SufficientStats], bounds: ParamBounds) -> list[FitResult]:
     """Joint MLE for every statistics in ``stack``, in order.
 
     The statistics must share the object count, judge count and rating
-    scale; ``memo`` keeps the :func:`theta_mle` solves of every profile,
-    keyed on the disagreement count, so it must only ever see one judge
-    count, object count and ``bounds``.  The memo is exact: no bit changes.
-    Up to ``_EXHAUSTIVE_MAX`` objects the stack (at most ``_stack_block(J)``
+    scale.  Their profiles share the memo of the enclosing
+    :func:`_sharing_solves` block, or one of this call's own.  Up to
+    ``_EXHAUSTIVE_MAX`` objects the stack (at most ``_stack_block(J)``
     statistics) goes through the screen in one pass, past it each
     statistics through :func:`fit_best_first`; both apply the rule of the
     module docstring, and each result is the one :func:`fit_exhaustive`
     gives alone.
     """
-    with _sharing_solves(memo):
+    with _sharing_solves():
         if stack[0].n_objects > _EXHAUSTIVE_MAX:
             return [fit_best_first(stats, bounds) for stats in stack]
         return _screen_stack(stack, bounds)
@@ -361,7 +359,7 @@ def fit_exhaustive(data, bounds: ParamBounds = DEFAULT_BOUNDS) -> FitResult:
             f"exhaustive search over {n} objects means {n}! candidates; "
             "use fit_best_first"
         )
-    return _fit_stack([stats], bounds, {})[0]
+    return _fit_stack([stats], bounds)[0]
 
 
 def _distance_moments(theta: np.ndarray, n_objects: int):
@@ -475,8 +473,8 @@ def fit_best_first(data, bounds: ParamBounds = DEFAULT_BOUNDS) -> FitResult:
 
     Maintains a queue of consensus prefixes ordered by an upper bound on the
     log-likelihood of any completion, expands the most promising prefix, and
-    profiles full rankings as they appear, with one memo of concentration
-    solves.  Expanding a prefix bounds all of its children in one batch,
+    profiles full rankings as they appear, sharing the memo of concentration
+    solves (see :func:`_fit_stack`).  Expanding a prefix bounds all of its children in one batch,
     exact in the rating term and relaxed in the mean distance
     (:func:`_child_bounds`); a prefix with two free objects left profiles
     both completions instead.  Pruning keeps a small slack under the
@@ -509,8 +507,7 @@ def fit_best_first(data, bounds: ParamBounds = DEFAULT_BOUNDS) -> FitResult:
         ):
             best = candidate
 
-    memo = _stack_solves.get()
-    with _sharing_solves({} if memo is None else memo):
+    with _sharing_solves():
         while queue:
             neg_bound, prefix, decided = heapq.heappop(queue)
             if best is not None and -neg_bound < best.loglik - slack():
@@ -542,7 +539,7 @@ def fit(data, bounds: ParamBounds = DEFAULT_BOUNDS, method: str = "auto") -> Fit
     """
     stats = _as_stats(data)
     if method == "auto":
-        return _fit_stack([stats], bounds, {})[0]
+        return _fit_stack([stats], bounds)[0]
     if method == "exhaustive":
         return fit_exhaustive(stats, bounds)
     if method == "best-first":

@@ -21,7 +21,7 @@ import os
 
 import numpy as np
 
-from .model import Dataset
+from .model import Dataset, _count
 
 __all__ = [
     "read_ratings",
@@ -116,7 +116,7 @@ def read_dataset(ratings_path, rankings_path, max_rating: int) -> Dataset:
             f"{ratings_path} has {ratings.shape[0]} judges but "
             f"{rankings_path} has {rankings.shape[0]}"
         )
-    max_rating = int(max_rating)
+    max_rating = _count(max_rating, "max_rating")
     bad = np.argwhere((ratings < 0) | (ratings > max_rating))
     if bad.size:
         i, j = bad[0]

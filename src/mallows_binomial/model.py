@@ -121,6 +121,17 @@ def _check_theta(theta) -> float:
     return theta
 
 
+def _count(value, name: str) -> int:
+    """The count argument ``name`` as an int, refusing a value below 1 or one
+    that ``int()`` would change (2.7 is not a rating scale of 2)."""
+    count = int(value)
+    if count != value or count < 1:
+        if name == "n_judges":
+            raise ValueError(f"need at least one judge, got {value}")
+        raise ValueError(f"{name} must be a positive integer, got {value}")
+    return count
+
+
 def _check_n_objects(n_objects) -> int:
     n = int(n_objects)
     if n < 2:
@@ -296,9 +307,9 @@ class Dataset:
         n_judges, n_objects = ratings.shape
         if n_judges < 1:
             raise ValueError("need at least one judge")
-        max_rating = int(self.max_rating)
-        if max_rating < 1:
-            raise ValueError(f"max_rating must be a positive integer, got {max_rating}")
+        if n_objects < 1:
+            raise ValueError("need at least one object")
+        max_rating = _count(self.max_rating, "max_rating")
         if ratings.min() < 0 or ratings.max() > max_rating:
             bad = np.argwhere((ratings < 0) | (ratings > max_rating))[0]
             raise ValueError(

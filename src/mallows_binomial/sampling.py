@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Dataset, Params, as_ranking, _check_theta
+from .model import Dataset, Params, _check_theta, _count, as_ranking
 
 __all__ = [
     "spawn_rng",
@@ -191,9 +191,7 @@ def sample_ratings(p, max_rating: int, n_samples: int, rng: np.random.Generator)
         raise ValueError("p must be a non-empty 1-D vector")
     if not np.all(np.isfinite(p)) or np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError(f"every rating probability must lie in [0, 1], got {p.tolist()}")
-    max_rating = int(max_rating)
-    if max_rating < 1:
-        raise ValueError(f"max_rating must be a positive integer, got {max_rating}")
+    max_rating = _count(max_rating, "max_rating")
     n_samples = int(n_samples)
     if n_samples < 0:
         raise ValueError(f"n_samples must be non-negative, got {n_samples}")
@@ -216,12 +214,8 @@ def sample_dataset(
     one insertion pass.  ``consensus`` defaults to the ranking implied by
     ``params.p``.
     """
-    n_judges = int(n_judges)
-    if n_judges < 1:
-        raise ValueError(f"need at least one judge, got {n_judges}")
-    max_rating = int(max_rating)
-    if max_rating < 1:
-        raise ValueError(f"max_rating must be a positive integer, got {max_rating}")
+    n_judges = _count(n_judges, "n_judges")
+    max_rating = _count(max_rating, "max_rating")
     if consensus is None:
         consensus = params.consensus()
     consensus = as_ranking(consensus, params.n_objects)

@@ -1,6 +1,9 @@
-"""The summary that tools/bench_pairs.py writes, on a canned list of pairs."""
+"""The summary that tools/bench_pairs.py writes, on a canned list of pairs,
+and the digest that names an uncommitted working tree."""
 
-from tools.bench_pairs import summarise
+import subprocess
+
+from tools.bench_pairs import diff_sha256, summarise
 
 
 def run(work, p50, correct=True, failed=0):
@@ -38,3 +41,28 @@ def test_summary_reports_a_failed_run():
     assert not summary["all_correct"]
     assert summary["failed"] == {"parent": 0, "change": 2}
     assert summary["metrics"]["work_per_s"]["parent"] == {"median": 10.0, "q1": 10.0, "q3": 10.0}
+
+
+def test_diff_sha256_names_the_working_tree(tmp_path):
+    def git(*args):
+        subprocess.run(
+            ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+             "-c", "commit.gpgsign=false", *args],
+            capture_output=True, check=True,
+        )
+
+    source = tmp_path / "module.py"
+    source.write_text("x = 1\n")
+    git("init", "-q")
+    git("add", "module.py")
+    git("commit", "-q", "-m", "first")
+    assert diff_sha256(tmp_path) is None
+    (tmp_path / "untracked.py").write_text("y = 2\n")
+    assert diff_sha256(tmp_path) is None
+    source.write_text("x = 2\n")
+    first = diff_sha256(tmp_path)
+    source.write_text("x = 3\n")
+    second = diff_sha256(tmp_path)
+    assert None not in (first, second) and first != second
+    source.write_text("x = 1\n")
+    assert diff_sha256(tmp_path) is None

@@ -147,9 +147,9 @@ def test_six_objects_refit_one_screen_pass_per_block(monkeypatch):
     sizes = []
     fit_stack = bootstrap._fit_stack
 
-    def spied(stack, bounds, memo):
+    def spied(stack, bounds):
         sizes.append(len(stack))
-        return fit_stack(stack, bounds, memo)
+        return fit_stack(stack, bounds)
 
     monkeypatch.setattr(bootstrap, "_fit_stack", spied)
     tables = _JudgeTables.from_dataset(data)

@@ -171,7 +171,7 @@ def test_six_objects_pass_memory_is_bounded():
     assert estimation._stack_block(6) == len(stack)
     tracemalloc.start()
     try:
-        results = estimation._fit_stack(stack, DEFAULT_BOUNDS, {})
+        results = estimation._fit_stack(stack, DEFAULT_BOUNDS)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

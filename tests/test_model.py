@@ -24,6 +24,10 @@ from mallows_binomial import (
     psi,
 )
 
+from mallows_binomial.asymptotics import coverage_study, lan_check, theoretical_se
+from mallows_binomial.io import read_dataset, write_rankings, write_ratings
+from mallows_binomial.sampling import sample_dataset, sample_ratings, spawn_rng
+
 from .oracles import (
     all_permutations,
     distance_moments_exhaustive,
@@ -314,6 +318,49 @@ def test_dataset_validation_messages():
         Dataset(ratings=[[0.5, 1.0, 2.0]], rankings=[[0, 1, 2]], max_rating=4)
     with pytest.raises(ValueError, match="judge 0, object 1"):
         Dataset(ratings=[[0, -1, 2]], rankings=[[0, 1, 2]], max_rating=4)
+
+
+def test_dataset_refuses_an_empty_object_axis():
+    with pytest.raises(ValueError, match="need at least one object"):
+        Dataset(np.zeros((3, 0), int), np.zeros((3, 0), int), 5)
+
+
+def _read_back(tmp_path, max_rating):
+    data = Dataset([[1, 2]], [[0, 1]], 5)
+    write_ratings(tmp_path / "ratings.csv", data.ratings)
+    write_rankings(tmp_path / "rankings.csv", data.rankings)
+    return read_dataset(tmp_path / "ratings.csv", tmp_path / "rankings.csv", max_rating)
+
+
+SMALL = Params(p=[0.2, 0.5, 0.8], theta=1.5)
+# every public function that takes a judge count or a rating scale, called
+# with ``value`` in that place
+COUNTS = {
+    "Dataset": lambda value, tmp: Dataset([[1, 2]], [[0, 1]], value),
+    "read_dataset": lambda value, tmp: _read_back(tmp, value),
+    "sample_ratings": lambda value, tmp: sample_ratings([0.5], value, 3, spawn_rng(0, 0)),
+    "sample_dataset.max_rating": lambda value, tmp: sample_dataset(SMALL, 10, value, seed=0),
+    "sample_dataset.n_judges": lambda value, tmp: sample_dataset(SMALL, value, 5, seed=0),
+    "theoretical_se.max_rating": lambda value, tmp: theoretical_se(SMALL, value, 10),
+    "theoretical_se.n_judges": lambda value, tmp: theoretical_se(SMALL, 5, value),
+    "lan_check.max_rating": lambda value, tmp: lan_check(SMALL, 10, value, 2),
+    "lan_check.n_judges": lambda value, tmp: lan_check(SMALL, value, 5, 2),
+    "coverage_study.max_rating": lambda value, tmp: coverage_study(SMALL, 10, value, 1, 2),
+    "coverage_study.n_judges": lambda value, tmp: coverage_study(SMALL, value, 5, 1, 2),
+}
+
+
+@pytest.mark.parametrize("value", [2.7, 10.5])
+@pytest.mark.parametrize("call", COUNTS.values(), ids=COUNTS.keys())
+def test_count_arguments_refuse_non_integers(call, value, tmp_path):
+    with pytest.raises(ValueError, match=f"got {value}"):
+        call(value, tmp_path)
+
+
+@pytest.mark.parametrize("value", [5, 5.0, np.int64(5)], ids=["int", "float", "int64"])
+@pytest.mark.parametrize("call", COUNTS.values(), ids=COUNTS.keys())
+def test_count_arguments_accept_whole_numbers(call, value, tmp_path):
+    call(value, tmp_path)
 
 
 def test_dataset_take_keeps_pairs():

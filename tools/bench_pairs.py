@@ -11,12 +11,15 @@ directory.  Pair ``k`` runs ``python3 bench/run.py --workload W --seed k
 first, odd pairs the change.  ``--workload`` may be given more than once.  The output holds every
 pair's end-to-end metrics, each side's median and quartiles, how many pairs
 the change won on each metric (ties count for neither side), and both sides'
-``source_lines``.
+``source_lines``.  When the working tree differs from its commit, the output
+also holds the sha256 of ``git diff --binary HEAD``, which names the code
+measured.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import statistics
@@ -29,21 +32,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _git(*args: str) -> str:
-    done = subprocess.run(
-        ["git", "-C", str(ROOT), *args], capture_output=True, check=True
-    )
-    return done.stdout.decode()
+def _git(*args: str, root: Path = ROOT) -> bytes:
+    return subprocess.run(["git", "-C", str(root), *args], capture_output=True, check=True).stdout
+
+
+def diff_sha256(root: Path = ROOT) -> str | None:
+    """sha256 of what the tracked files of ``root`` change against ``HEAD``
+    (``git diff --binary HEAD``), or None when they change nothing."""
+    diff = _git("diff", "--binary", "HEAD", root=root)
+    return hashlib.sha256(diff).hexdigest() if diff else None
 
 
 def export(ref: str, into: Path) -> str:
     """Extract the tree of ``ref`` into ``into``; return its commit SHA."""
-    sha = _git("rev-parse", "--verify", f"{ref}^{{commit}}").strip()
-    archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", sha],
-        capture_output=True, check=True,
-    ).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+    sha = _git("rev-parse", "--verify", f"{ref}^{{commit}}").decode().strip()
+    with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", sha))) as tar:
         tar.extractall(into, filter="data")
     return sha
 
@@ -122,8 +125,8 @@ def main(argv=None) -> int:
     better = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
     document = {
         "parent_ref": args.parent_ref,
-        "change_sha": _git("rev-parse", "HEAD").strip(),
-        "change_dirty": bool(_git("status", "--porcelain", "--untracked-files=no").strip()),
+        "change_sha": _git("rev-parse", "HEAD").decode().strip(),
+        "change_diff_sha256": diff_sha256(),
         "command": f"python3 bench/run.py --workload W --seed K --seconds {seconds} --trace 0",
         "workloads": {},
     }
