@@ -15,14 +15,15 @@ building it.
 
 Replicates are refitted a block at a time by the estimator's stacked fit.
 The refits of one range share a memo of concentration solves, keyed on the
-solver's own arguments, which lives as long as the range.  The estimator picks the search from
-the object count, as :func:`fit` does: up to 6 objects the exhaustive screen
-bounds a block of replicates' candidates in one numpy pass; larger panels
-are refitted one replicate per block with the best-first search.  The
-results are those of fitting each replicate on its own.  With ``workers`` >
-1, the replicates split into ``workers`` contiguous ranges: the calling
-process refits the first while a pool of ``workers - 1`` processes refits
-the others.  :func:`coverage_study` fans whole replications out the same way.
+solver's own arguments, which lives as long as the range.  The estimator
+picks the search from the object count, as :func:`fit` does: up to 6
+objects the exhaustive screen bounds a block of replicates' candidates in
+one numpy pass; larger panels are refitted one replicate per block with the
+best-first search.  The results are those of fitting each replicate on its
+own.  With ``workers`` > 1, the replicates split into ``workers``
+contiguous ranges: the calling process refits the first while a pool of
+``workers - 1`` processes refits the others.  :func:`coverage_study` fans
+whole replications out the same way.
 
 Replicate ``b`` draws from the dedicated stream ``(seed, b)``, so results are
 identical no matter how replicates are scheduled, and adding replicates

@@ -190,7 +190,7 @@ def profile_loglik(
     key = (dbar, stats.n_objects, bounds)
     memo = _solves.get({})
     if key not in memo:
-        memo[key] = theta_mle(dbar, stats.n_objects, bounds)
+        memo[key] = theta_mle(*key)
     theta, clamped = memo[key]
     loglik = _loglik_from_stats(stats, p, theta, dbar)
     return ProfileFit(
@@ -474,10 +474,10 @@ def fit_best_first(data, bounds: ParamBounds = DEFAULT_BOUNDS) -> FitResult:
     Maintains a queue of consensus prefixes ordered by an upper bound on the
     log-likelihood of any completion, expands the most promising prefix, and
     profiles full rankings as they appear, sharing the memo of concentration
-    solves (see :func:`_fit_stack`).  Expanding a prefix bounds all of its children in one batch,
-    exact in the rating term and relaxed in the mean distance
-    (:func:`_child_bounds`); a prefix with two free objects left profiles
-    both completions instead.  Pruning keeps a small slack under the
+    solves (see :func:`_fit_stack`).  Expanding a prefix bounds all of its
+    children in one batch, exact in the rating term and relaxed in the mean
+    distance (:func:`_child_bounds`); a prefix with two free objects left
+    profiles both completions instead.  Pruning keeps a small slack under the
     incumbent so floating-point noise in the bound can never discard an
     optimal branch, and exact ties go to the lexicographically smallest
     consensus.  Returns the same optimum as :func:`fit_exhaustive`.
