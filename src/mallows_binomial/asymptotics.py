@@ -26,10 +26,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .bootstrap import _check_bootstrap_args, _fan_out, bootstrap_fit
+from .bootstrap import _fan_out, bootstrap_fit
 from .estimation import _sharing_solves, fit
-from .model import DEFAULT_BOUNDS, ParamBounds, Params, _count, distance_variance
-from .sampling import derive_seed, sample_dataset
+from .model import DEFAULT_BOUNDS, ParamBounds, Params, _check_alpha, _whole, distance_variance
+from .sampling import _check_path, derive_seed, sample_dataset
 
 __all__ = ["StandardErrors", "theoretical_se", "CoverageReport", "lan_check", "coverage_study"]
 
@@ -52,8 +52,8 @@ def theoretical_se(params: Params, max_rating: int, n_judges: int) -> StandardEr
     ``ValueError`` when ``theta`` is so large (about 375 and beyond) that
     ``(kappa')^2`` underflows to zero.
     """
-    max_rating = _count(max_rating, "max_rating")
-    n_judges = _count(n_judges, "n_judges")
+    max_rating = _whole(max_rating, "max_rating must be a positive integer")
+    n_judges = _whole(n_judges, "n_judges must be a positive integer")
     p_se = np.sqrt(params.p * (1.0 - params.p) / (max_rating * n_judges))
     var = distance_variance(params.theta, params.n_objects)
     kappa_prime = -var
@@ -103,7 +103,7 @@ class CoverageReport:
         return asdict(self)
 
 
-def _check_study_args(params, bounds, n_judges, max_rating, n_replications, alpha):
+def _check_study_args(params, bounds, n_judges, max_rating, n_replications, alpha, seed):
     # every fit clamps theta to the box, so a truth outside it is never covered
     # and its standard error says nothing about the clamped estimates
     if not bounds.theta_min <= params.theta <= bounds.theta_max:
@@ -111,15 +111,13 @@ def _check_study_args(params, bounds, n_judges, max_rating, n_replications, alph
             f"true theta = {params.theta} lies outside the theta box "
             f"[{bounds.theta_min}, {bounds.theta_max}] every fit is clamped to"
         )
-    _count(n_judges, "n_judges")
-    _count(max_rating, "max_rating")
-    n_replications = int(n_replications)
-    if n_replications < 1:
-        raise ValueError(f"need at least one replication, got {n_replications}")
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    return n_replications, alpha
+    return (
+        _whole(n_judges, "n_judges must be a positive integer"),
+        _whole(max_rating, "max_rating must be a positive integer"),
+        _whole(n_replications, "n_replications must be a positive integer"),
+        _check_alpha(alpha),
+        _check_path(seed, ())[0],
+    )
 
 
 def lan_check(
@@ -140,14 +138,11 @@ def lan_check(
     each coverage approach ``1 - alpha`` as the judge count grows.  A true
     ``theta`` outside the box of ``bounds`` raises ``ValueError``.
     """
-    n_replications, alpha = _check_study_args(
-        params, bounds, n_judges, max_rating, n_replications, alpha
+    n_judges, max_rating, n_replications, alpha, seed = _check_study_args(
+        params, bounds, n_judges, max_rating, n_replications, alpha, seed
     )
-    if n_replications < 2:
-        raise ValueError(
-            "the standard deviation of the standardized errors needs at least "
-            f"two replications, got {n_replications}"
-        )
+    # the standard deviation of the standardized errors needs two of them
+    _whole(n_replications, "lan_check needs at least two replications", 2)
     se = theoretical_se(params, max_rating, n_judges)
     z_crit = float(ndtri(1.0 - alpha / 2.0))
     truth = params.consensus()
@@ -165,11 +160,11 @@ def lan_check(
         p_true=tuple(float(v) for v in params.p),
         theta_true=params.theta,
         n_objects=params.n_objects,
-        n_judges=int(n_judges),
-        max_rating=int(max_rating),
+        n_judges=n_judges,
+        max_rating=max_rating,
         n_replications=n_replications,
         alpha=alpha,
-        seed=int(seed),
+        seed=seed,
         consensus_recovery_rate=float(recovered.mean()),
         p_coverage=tuple(float(v) for v in (np.abs(p_z) <= z_crit).mean(axis=0)),
         theta_coverage=float((np.abs(theta_z) <= z_crit).mean()),
@@ -221,10 +216,11 @@ def coverage_study(
     whole replications.  A true ``theta`` outside the box of ``bounds``
     raises ``ValueError``.
     """
-    n_replications, alpha = _check_study_args(
-        params, bounds, n_judges, max_rating, n_replications, alpha
+    n_judges, max_rating, n_replications, alpha, seed = _check_study_args(
+        params, bounds, n_judges, max_rating, n_replications, alpha, seed
     )
-    n_bootstrap, workers = _check_bootstrap_args(n_bootstrap, alpha, workers)
+    n_bootstrap = _whole(n_bootstrap, "n_bootstrap must be a positive integer")
+    workers = _whole(workers, "workers must be a positive integer")
     p_intervals, theta_intervals, clamp, recovered = _fan_out(
         _replications, n_replications, workers,
         params, n_judges, max_rating, n_bootstrap, alpha, seed, bounds,
@@ -236,15 +232,15 @@ def coverage_study(
         p_true=tuple(float(v) for v in params.p),
         theta_true=params.theta,
         n_objects=params.n_objects,
-        n_judges=int(n_judges),
-        max_rating=int(max_rating),
+        n_judges=n_judges,
+        max_rating=max_rating,
         n_replications=n_replications,
         alpha=alpha,
-        seed=int(seed),
+        seed=seed,
         consensus_recovery_rate=float(recovered.mean()),
         p_coverage=tuple(float(v) for v in p_covered.mean(axis=0)),
         theta_coverage=float(((lo <= params.theta) & (params.theta <= hi)).mean()),
-        n_bootstrap=int(n_bootstrap),
+        n_bootstrap=n_bootstrap,
         p_interval_width=tuple(float(v) for v in (highs - lows).mean(axis=0)),
         theta_interval_width=float((hi - lo).mean()),
         theta_clamp_rate=float(clamp.mean()),

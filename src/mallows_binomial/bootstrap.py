@@ -43,9 +43,11 @@ from .model import (
     Dataset,
     ParamBounds,
     SufficientStats,
+    _check_alpha,
     _freeze,
     _log_binom_levels,
     _pair_indicators,
+    _whole,
 )
 from .sampling import _streams
 
@@ -71,8 +73,7 @@ def percentile_interval(values, alpha: float) -> tuple[float, float]:
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("need a non-empty 1-D sample of values")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    alpha = _check_alpha(alpha)
     lo, hi = np.quantile(values, [alpha / 2.0, 1.0 - alpha / 2.0], method="hazen")
     return float(lo), float(hi)
 
@@ -182,18 +183,6 @@ def _fit_replicates(job) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     )
 
 
-def _check_bootstrap_args(n_replicates: int, alpha: float, workers: int) -> tuple[int, int]:
-    n_replicates = int(n_replicates)
-    if n_replicates < 1:
-        raise ValueError(f"need at least one replicate, got {n_replicates}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
-    return n_replicates, workers
-
-
 def _fan_out(job, n: int, workers: int, *args) -> list[np.ndarray]:
     """``job((*args, start, stop))`` over ``0..n-1`` in at most ``workers`` ranges.
 
@@ -228,7 +217,9 @@ def bootstrap_fit(
     replicate ``b`` is fully determined by ``(seed, b)`` and results are
     collected in replicate order.
     """
-    n_replicates, workers = _check_bootstrap_args(n_replicates, alpha, workers)
+    n_replicates = _whole(n_replicates, "n_replicates must be a positive integer")
+    alpha = _check_alpha(alpha)
+    workers = _whole(workers, "workers must be a positive integer")
     point = fit(data, bounds)
     p_samples, theta_samples, consensus_samples, clamped = _fan_out(
         _fit_replicates, n_replicates, workers, _JudgeTables.from_dataset(data), seed, bounds

@@ -7,9 +7,10 @@ document, like each CSV file of ``simulate``, goes to a temporary file beside
 its path and is renamed into place, so a failed write leaves any earlier file
 at that path untouched.  ``simulate`` writes both CSV files before renaming
 either; only a failure between the two renames can leave the new ratings
-beside the earlier rankings.  Documents contain no timestamps or machine
-identifiers: the same invocation always produces the same bytes, whatever
-``--threads`` says.
+beside the earlier rankings.  It writes nothing, and samples nothing, when
+two of ``--ratings``, ``--rankings`` and ``--out`` name one file.  Documents
+contain no timestamps or machine identifiers: the same invocation always
+produces the same bytes, whatever ``--threads`` says.
 
 Object labels are 1-based in everything the CLI reads or writes.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -202,6 +204,9 @@ def _cmd_fit(args) -> dict:
 
 
 def _cmd_simulate(args) -> dict:
+    paths = [args.ratings, args.rankings, *([] if args.out == "-" else [args.out])]
+    if len({os.path.realpath(path) for path in paths}) < len(paths):
+        raise ValueError("--ratings, --rankings and --out must name different files")
     params = Params(p=np.asarray(args.p), theta=args.theta)
     data = sample_dataset(params, args.judges, args.M, args.seed)
     # both files are complete before either is renamed into place

@@ -6,9 +6,10 @@ judge listing object labels most preferred first.  Object labels are
 1-based in files and 0-based in memory: this module converts the labels and
 ``obj_`` names of panel files, and the CLI converts the consensus rankings
 of its documents (``cli._fit_document`` and ``cli._cmd_simulate``).  Parse
-errors name the offending file and its physical line, blank lines counted.
-Every file is written to a temporary file beside its path and renamed into
-place, so a failed write never leaves a half-written file.
+errors, the csv module's included, are ``ValueError``s naming the file and
+the physical line the row starts on, blank lines counted.  Every file is
+written to a temporary file beside its path and renamed into place, so a
+failed write never leaves a half-written file.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import os
 
 import numpy as np
 
-from .model import Dataset, _count
+from .model import Dataset, _whole
 
 __all__ = [
     "read_ratings",
@@ -38,13 +39,16 @@ def _read_rows(path) -> tuple[array.array, list[list[str]]]:
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         start = 1
-        for row in reader:
-            row = [cell.strip() for cell in row]
-            if any(row):
-                lines.append(start)
-                rows.append(row)
-            # a quoted cell may span lines: the next row starts after them
-            start = reader.line_num + 1
+        try:
+            for row in reader:
+                row = [cell.strip() for cell in row]
+                if any(row):
+                    lines.append(start)
+                    rows.append(row)
+                # a quoted cell may span lines: the next row starts after them
+                start = reader.line_num + 1
+        except csv.Error as error:  # such as a cell over the field size limit
+            raise ValueError(f"{path}, line {start}: {error}") from None
     if not rows:
         raise ValueError(f"{path}: file is empty")
     return lines, rows
@@ -116,7 +120,7 @@ def read_dataset(ratings_path, rankings_path, max_rating: int) -> Dataset:
             f"{ratings_path} has {ratings.shape[0]} judges but "
             f"{rankings_path} has {rankings.shape[0]}"
         )
-    max_rating = _count(max_rating, "max_rating")
+    max_rating = _whole(max_rating, "max_rating must be a positive integer")
     bad = np.argwhere((ratings < 0) | (ratings > max_rating))
     if bad.size:
         i, j = bad[0]

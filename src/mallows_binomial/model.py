@@ -121,22 +121,19 @@ def _check_theta(theta) -> float:
     return theta
 
 
-def _count(value, name: str) -> int:
-    """The count argument ``name`` as an int, refusing a value below 1 or one
-    that ``int()`` would change (2.7 is not a rating scale of 2)."""
-    count = int(value)
-    if count != value or count < 1:
-        if name == "n_judges":
-            raise ValueError(f"need at least one judge, got {value}")
-        raise ValueError(f"{name} must be a positive integer, got {value}")
-    return count
+def _check_alpha(alpha) -> float:
+    alpha = float(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    return alpha
 
 
-def _check_n_objects(n_objects) -> int:
-    n = int(n_objects)
-    if n < 2:
-        raise ValueError(f"need at least 2 objects, got {n}")
-    return n
+def _whole(value, message: str, minimum: int = 1) -> int:
+    """``value`` as an int, refusing with ``message`` one below ``minimum`` or not whole."""
+    number = int(value)
+    if number != value or number < minimum:
+        raise ValueError(f"{message}, got {value}")
+    return number
 
 
 def log_psi(theta, n_objects) -> float:
@@ -149,7 +146,7 @@ def log_psi(theta, n_objects) -> float:
     tiny nor large ``theta`` loses precision.
     """
     theta = _check_theta(theta)
-    n = _check_n_objects(n_objects)
+    n = _whole(n_objects, "need an integer count of at least 2 objects", 2)
     total = 0.0
     for j in range(1, n + 1):
         total += math.log(-math.expm1(-j * theta))
@@ -175,7 +172,7 @@ def expected_distance(theta, n_objects) -> float:
     concentration MLE inverts this function at the observed mean distance.
     """
     theta = _check_theta(theta)
-    n = _check_n_objects(n_objects)
+    n = _whole(n_objects, "need an integer count of at least 2 objects", 2)
     if theta * n < _SERIES_CUTOFF:
         j = np.arange(1.0, n + 1.0)
         return float(
@@ -190,7 +187,7 @@ def expected_distance(theta, n_objects) -> float:
 def distance_variance(theta, n_objects) -> float:
     """Variance of the Kendall distance from the center under the kernel."""
     theta = _check_theta(theta)
-    n = _check_n_objects(n_objects)
+    n = _whole(n_objects, "need an integer count of at least 2 objects", 2)
     if theta * n < _SERIES_CUTOFF:
         j = np.arange(1.0, n + 1.0)
         return float(
@@ -305,11 +302,9 @@ class Dataset:
                 f"ratings shape {ratings.shape} does not match rankings shape {rankings.shape}"
             )
         n_judges, n_objects = ratings.shape
-        if n_judges < 1:
-            raise ValueError("need at least one judge")
-        if n_objects < 1:
-            raise ValueError("need at least one object")
-        max_rating = _count(self.max_rating, "max_rating")
+        _whole(n_judges, "need at least one judge")
+        _whole(n_objects, "need at least one object")
+        max_rating = _whole(self.max_rating, "max_rating must be a positive integer")
         if ratings.min() < 0 or ratings.max() > max_rating:
             bad = np.argwhere((ratings < 0) | (ratings > max_rating))[0]
             raise ValueError(

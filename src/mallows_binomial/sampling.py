@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Dataset, Params, _check_theta, _count, as_ranking
+from .model import Dataset, Params, _check_theta, _whole, as_ranking
 
 __all__ = [
     "spawn_rng",
@@ -38,12 +38,8 @@ __all__ = [
 
 
 def _check_path(seed, path) -> tuple[int, tuple[int, ...]]:
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    path = tuple(int(k) for k in path)
-    if any(k < 0 for k in path):
-        raise ValueError(f"stream path entries must be non-negative, got {path}")
+    seed = _whole(seed, "seed must be a non-negative integer", 0)
+    path = tuple(_whole(k, "stream path entries must be non-negative integers", 0) for k in path)
     return seed, path
 
 
@@ -176,9 +172,7 @@ def sample_mallows(consensus, theta, n_samples: int, rng: np.random.Generator) -
     """
     consensus = as_ranking(consensus)
     theta = _check_theta(theta)
-    n_samples = int(n_samples)
-    if n_samples < 0:
-        raise ValueError(f"n_samples must be non-negative, got {n_samples}")
+    n_samples = _whole(n_samples, "n_samples must be a non-negative integer", 0)
     # insertion step m takes the m-th block of n_samples uniforms
     uniforms = rng.random((consensus.size - 1, n_samples)).T
     return _insertion_rankings(consensus, theta, uniforms)
@@ -191,10 +185,8 @@ def sample_ratings(p, max_rating: int, n_samples: int, rng: np.random.Generator)
         raise ValueError("p must be a non-empty 1-D vector")
     if not np.all(np.isfinite(p)) or np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError(f"every rating probability must lie in [0, 1], got {p.tolist()}")
-    max_rating = _count(max_rating, "max_rating")
-    n_samples = int(n_samples)
-    if n_samples < 0:
-        raise ValueError(f"n_samples must be non-negative, got {n_samples}")
+    max_rating = _whole(max_rating, "max_rating must be a positive integer")
+    n_samples = _whole(n_samples, "n_samples must be a non-negative integer", 0)
     return rng.binomial(max_rating, p, size=(n_samples, p.size)).astype(np.int64)
 
 
@@ -214,8 +206,8 @@ def sample_dataset(
     one insertion pass.  ``consensus`` defaults to the ranking implied by
     ``params.p``.
     """
-    n_judges = _count(n_judges, "n_judges")
-    max_rating = _count(max_rating, "max_rating")
+    n_judges = _whole(n_judges, "n_judges must be a positive integer")
+    max_rating = _whole(max_rating, "max_rating must be a positive integer")
     if consensus is None:
         consensus = params.consensus()
     consensus = as_ranking(consensus, params.n_objects)

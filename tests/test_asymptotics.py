@@ -196,6 +196,14 @@ def test_coverage_study_refuses_panel_size_before_any_pool(pool_starts, size, me
     assert pool_starts == []
 
 
+def test_coverage_study_refuses_fractional_workers_before_any_pool(pool_starts):
+    # 1.9 is refused, not truncated to one process or rounded to two
+    kwargs = dict(n_judges=40, max_rating=5, n_replications=4, n_bootstrap=5)
+    with pytest.raises(ValueError, match=r"workers must be a positive integer, got 1\.9$"):
+        coverage_study(SMALL, workers=1.9, **kwargs)
+    assert pool_starts == []
+
+
 def test_coverage_interval_width_scales_with_judges():
     # percentile intervals should shrink like 1/sqrt(I)
     narrow = coverage_study(

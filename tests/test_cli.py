@@ -522,3 +522,62 @@ def test_cli_simulate_failed_rankings_write_changes_neither_file(tmp_path, monke
     assert ratings.read_text() == "earlier ratings\n"
     assert rankings.read_text() == "earlier rankings\n"
     assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_cli_fit_names_a_cell_over_the_csv_field_limit(tmp_path, capsys):
+    # the row starts on line 3 (a blank line is counted) and its quoted cell
+    # runs past the csv module's field size limit on the line after
+    ratings = tmp_path / "r.csv"
+    rankings = tmp_path / "k.csv"
+    ratings.write_text('obj_1,obj_2\n\n"1\n' + "2" * 200_000 + '",3\n')
+    rankings.write_text("1,2\n")
+    out = tmp_path / "fit.json"
+    status = run(["fit", "--ratings", str(ratings), "--rankings", str(rankings),
+                  "--M", "5", "--out", str(out)])
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ratings}, line 3: field larger than field limit")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def _same_file_spellings(tmp_path):
+    """Three spellings of one path: plain, through ``sub/..``, and a symlink."""
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.csv").symlink_to(tmp_path / "same.csv")
+    return [str(tmp_path / "same.csv"), str(tmp_path / "sub" / ".." / "same.csv"),
+            str(tmp_path / "link.csv")]
+
+
+@pytest.mark.parametrize(
+    "ratings, rankings, out",
+    [(0, 0, None), (0, None, 1), (None, 0, 2), (0, 1, 2)],
+    ids=["ratings=rankings", "ratings=out", "rankings=out", "all three"],
+)
+def test_cli_simulate_refuses_one_file_for_two_outputs(
+    tmp_path, monkeypatch, capsys, ratings, rankings, out
+):
+    spellings = _same_file_spellings(tmp_path)
+    paths = [
+        spellings[index] if index is not None else str(tmp_path / name)
+        for index, name in [(ratings, "r.csv"), (rankings, "k.csv"), (out, "doc.json")]
+    ]
+    before = sorted(os.listdir(tmp_path))
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("simulate sampled a panel it cannot write")
+
+    monkeypatch.setattr(cli, "sample_dataset", no_sampling)
+    status = run(SIMULATE + ["--ratings", paths[0], "--rankings", paths[1], "--out", paths[2]])
+    assert status == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "--ratings, --rankings and --out" in captured.err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_cli_simulate_to_stdout_accepts_distinct_panel_files(tmp_path, capsys):
+    ratings, rankings = str(tmp_path / "r.csv"), str(tmp_path / "k.csv")
+    assert run(SIMULATE + ["--ratings", ratings, "--rankings", rankings, "--out", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["ratings_path"] == ratings

@@ -1,6 +1,7 @@
 """Closed-form model quantities against brute-force oracles and known values."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,8 +26,15 @@ from mallows_binomial import (
 )
 
 from mallows_binomial.asymptotics import coverage_study, lan_check, theoretical_se
+from mallows_binomial.bootstrap import bootstrap_fit
 from mallows_binomial.io import read_dataset, write_rankings, write_ratings
-from mallows_binomial.sampling import sample_dataset, sample_ratings, spawn_rng
+from mallows_binomial.sampling import (
+    derive_seed,
+    sample_dataset,
+    sample_mallows,
+    sample_ratings,
+    spawn_rng,
+)
 
 from .oracles import (
     all_permutations,
@@ -333,8 +341,10 @@ def _read_back(tmp_path, max_rating):
 
 
 SMALL = Params(p=[0.2, 0.5, 0.8], theta=1.5)
-# every public function that takes a judge count or a rating scale, called
-# with ``value`` in that place
+PANEL = sample_dataset(SMALL, 10, 5, seed=0)
+# every public count, seed or size argument, called with ``value`` in that
+# place; one replication or one replicate keeps any worker count in this
+# process
 COUNTS = {
     "Dataset": lambda value, tmp: Dataset([[1, 2]], [[0, 1]], value),
     "read_dataset": lambda value, tmp: _read_back(tmp, value),
@@ -347,13 +357,33 @@ COUNTS = {
     "lan_check.n_judges": lambda value, tmp: lan_check(SMALL, value, 5, 2),
     "coverage_study.max_rating": lambda value, tmp: coverage_study(SMALL, 10, value, 1, 2),
     "coverage_study.n_judges": lambda value, tmp: coverage_study(SMALL, value, 5, 1, 2),
+    "coverage_study.n_replications": lambda value, tmp: coverage_study(SMALL, 10, 5, value, 2),
+    "coverage_study.n_bootstrap": lambda value, tmp: coverage_study(SMALL, 10, 5, 1, value),
+    "coverage_study.workers": lambda value, tmp: coverage_study(SMALL, 10, 5, 1, 2, workers=value),
+    "coverage_study.seed": lambda value, tmp: coverage_study(SMALL, 10, 5, 1, 2, seed=value),
+    "lan_check.n_replications": lambda value, tmp: lan_check(SMALL, 10, 5, value),
+    "lan_check.seed": lambda value, tmp: lan_check(SMALL, 10, 5, 2, seed=value),
+    "bootstrap_fit.n_replicates": lambda value, tmp: bootstrap_fit(PANEL, value),
+    "bootstrap_fit.workers": lambda value, tmp: bootstrap_fit(PANEL, 1, workers=value),
+    "bootstrap_fit.seed": lambda value, tmp: bootstrap_fit(PANEL, 2, seed=value),
+    "log_psi": lambda value, tmp: log_psi(1.0, value),
+    "psi": lambda value, tmp: psi(1.0, value),
+    "expected_distance": lambda value, tmp: expected_distance(1.0, value),
+    "distance_variance": lambda value, tmp: distance_variance(1.0, value),
+    "sample_mallows.n_samples": lambda value, tmp: sample_mallows([0, 1], 1.0, value, spawn_rng(0)),
+    "sample_ratings.n_samples": lambda value, tmp: sample_ratings([0.5], 4, value, spawn_rng(0)),
+    "sample_dataset.seed": lambda value, tmp: sample_dataset(SMALL, 10, 5, seed=value),
+    "spawn_rng.seed": lambda value, tmp: spawn_rng(value),
+    "spawn_rng.path": lambda value, tmp: spawn_rng(0, 1, value),
+    "derive_seed.seed": lambda value, tmp: derive_seed(value, 1),
+    "derive_seed.path": lambda value, tmp: derive_seed(0, value),
 }
 
 
 @pytest.mark.parametrize("value", [2.7, 10.5])
 @pytest.mark.parametrize("call", COUNTS.values(), ids=COUNTS.keys())
 def test_count_arguments_refuse_non_integers(call, value, tmp_path):
-    with pytest.raises(ValueError, match=f"got {value}"):
+    with pytest.raises(ValueError, match=rf"got {re.escape(str(value))}$"):
         call(value, tmp_path)
 
 
