@@ -186,21 +186,18 @@ def test_coverage_study_starts_one_pool(pool_starts):
 
 @pytest.mark.parametrize(
     "size, message",
-    [(dict(n_judges=0), "judge"), (dict(max_rating=0), "max_rating")],
-    ids=["n_judges", "max_rating"],
+    [
+        (dict(n_judges=0), "judge"),
+        (dict(max_rating=0), "max_rating"),
+        # refused, not truncated to one process or rounded to two
+        (dict(workers=1.9), r"workers must be a positive integer, got 1\.9$"),
+    ],
+    ids=["n_judges", "max_rating", "workers"],
 )
 def test_coverage_study_refuses_panel_size_before_any_pool(pool_starts, size, message):
     kwargs = dict(n_judges=40, max_rating=5, n_replications=4, n_bootstrap=5, workers=2)
     with pytest.raises(ValueError, match=message):
         coverage_study(SMALL, **{**kwargs, **size})
-    assert pool_starts == []
-
-
-def test_coverage_study_refuses_fractional_workers_before_any_pool(pool_starts):
-    # 1.9 is refused, not truncated to one process or rounded to two
-    kwargs = dict(n_judges=40, max_rating=5, n_replications=4, n_bootstrap=5)
-    with pytest.raises(ValueError, match=r"workers must be a positive integer, got 1\.9$"):
-        coverage_study(SMALL, workers=1.9, **kwargs)
     assert pool_starts == []
 
 

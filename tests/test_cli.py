@@ -575,9 +575,3 @@ def test_cli_simulate_refuses_one_file_for_two_outputs(
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "--ratings, --rankings and --out" in captured.err
     assert sorted(os.listdir(tmp_path)) == before
-
-
-def test_cli_simulate_to_stdout_accepts_distinct_panel_files(tmp_path, capsys):
-    ratings, rankings = str(tmp_path / "r.csv"), str(tmp_path / "k.csv")
-    assert run(SIMULATE + ["--ratings", ratings, "--rankings", rankings, "--out", "-"]) == 0
-    assert json.loads(capsys.readouterr().out)["result"]["ratings_path"] == ratings
