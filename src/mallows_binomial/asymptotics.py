@@ -104,6 +104,7 @@ class CoverageReport:
 
 
 def _check_study_args(params, bounds, n_judges, max_rating, n_replications, alpha, seed):
+    """The checked study arguments, as the :class:`CoverageReport` fields echoing them."""
     # every fit clamps theta to the box, so a truth outside it is never covered
     # and its standard error says nothing about the clamped estimates
     if not bounds.theta_min <= params.theta <= bounds.theta_max:
@@ -111,13 +112,20 @@ def _check_study_args(params, bounds, n_judges, max_rating, n_replications, alph
             f"true theta = {params.theta} lies outside the theta box "
             f"[{bounds.theta_min}, {bounds.theta_max}] every fit is clamped to"
         )
-    return (
-        _whole(n_judges, "n_judges must be a positive integer"),
-        _whole(max_rating, "max_rating must be a positive integer"),
-        _whole(n_replications, "n_replications must be a positive integer"),
-        _check_alpha(alpha),
-        _check_path(seed, ())[0],
+    return dict(
+        p_true=tuple(float(v) for v in params.p),
+        theta_true=params.theta,
+        n_objects=params.n_objects,
+        n_judges=_whole(n_judges, "n_judges must be a positive integer"),
+        max_rating=_whole(max_rating, "max_rating must be a positive integer"),
+        n_replications=_whole(n_replications, "n_replications must be a positive integer"),
+        alpha=_check_alpha(alpha),
+        seed=_check_path(seed, ())[0],
     )
+
+
+# the checked arguments a study runs with, read back from its echo
+_RUN_ARGS = ("n_judges", "max_rating", "n_replications", "alpha", "seed")
 
 
 def lan_check(
@@ -138,9 +146,8 @@ def lan_check(
     each coverage approach ``1 - alpha`` as the judge count grows.  A true
     ``theta`` outside the box of ``bounds`` raises ``ValueError``.
     """
-    n_judges, max_rating, n_replications, alpha, seed = _check_study_args(
-        params, bounds, n_judges, max_rating, n_replications, alpha, seed
-    )
+    echo = _check_study_args(params, bounds, n_judges, max_rating, n_replications, alpha, seed)
+    n_judges, max_rating, n_replications, alpha, seed = (echo[key] for key in _RUN_ARGS)
     # the standard deviation of the standardized errors needs two of them
     _whole(n_replications, "lan_check needs at least two replications", 2)
     se = theoretical_se(params, max_rating, n_judges)
@@ -157,14 +164,7 @@ def lan_check(
         recovered[r] = np.array_equal(result.consensus, truth)
     return CoverageReport(
         kind="z",
-        p_true=tuple(float(v) for v in params.p),
-        theta_true=params.theta,
-        n_objects=params.n_objects,
-        n_judges=n_judges,
-        max_rating=max_rating,
-        n_replications=n_replications,
-        alpha=alpha,
-        seed=seed,
+        **echo,
         consensus_recovery_rate=float(recovered.mean()),
         p_coverage=tuple(float(v) for v in (np.abs(p_z) <= z_crit).mean(axis=0)),
         theta_coverage=float((np.abs(theta_z) <= z_crit).mean()),
@@ -216,9 +216,8 @@ def coverage_study(
     whole replications.  A true ``theta`` outside the box of ``bounds``
     raises ``ValueError``.
     """
-    n_judges, max_rating, n_replications, alpha, seed = _check_study_args(
-        params, bounds, n_judges, max_rating, n_replications, alpha, seed
-    )
+    echo = _check_study_args(params, bounds, n_judges, max_rating, n_replications, alpha, seed)
+    n_judges, max_rating, n_replications, alpha, seed = (echo[key] for key in _RUN_ARGS)
     n_bootstrap = _whole(n_bootstrap, "n_bootstrap must be a positive integer")
     workers = _whole(workers, "workers must be a positive integer")
     p_intervals, theta_intervals, clamp, recovered = _fan_out(
@@ -229,14 +228,7 @@ def coverage_study(
     p_covered = (lows <= params.p) & (params.p <= highs)
     return CoverageReport(
         kind="bootstrap",
-        p_true=tuple(float(v) for v in params.p),
-        theta_true=params.theta,
-        n_objects=params.n_objects,
-        n_judges=n_judges,
-        max_rating=max_rating,
-        n_replications=n_replications,
-        alpha=alpha,
-        seed=seed,
+        **echo,
         consensus_recovery_rate=float(recovered.mean()),
         p_coverage=tuple(float(v) for v in p_covered.mean(axis=0)),
         theta_coverage=float(((lo <= params.theta) & (params.theta <= hi)).mean()),

@@ -49,7 +49,7 @@ from .model import (
     _pair_indicators,
     _whole,
 )
-from .sampling import _streams
+from .sampling import _check_path, _streams
 
 __all__ = ["resample", "percentile_interval", "BootstrapResult", "bootstrap_fit"]
 
@@ -220,6 +220,7 @@ def bootstrap_fit(
     n_replicates = _whole(n_replicates, "n_replicates must be a positive integer")
     alpha = _check_alpha(alpha)
     workers = _whole(workers, "workers must be a positive integer")
+    seed = _check_path(seed, ())[0]
     point = fit(data, bounds)
     p_samples, theta_samples, consensus_samples, clamped = _fan_out(
         _fit_replicates, n_replicates, workers, _JudgeTables.from_dataset(data), seed, bounds

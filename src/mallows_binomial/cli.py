@@ -236,8 +236,9 @@ def _cmd_bootstrap(args) -> dict:
     return _bootstrap_document(boot)
 
 
-def _cmd_lan_check(args) -> dict:
-    report = lan_check(
+def _cmd_study(study, args, **extra) -> dict:
+    """Run a study on the truth flags, plus the ``extra`` arguments only it takes."""
+    report = study(
         Params(p=np.asarray(args.p), theta=args.theta),
         n_judges=args.judges,
         max_rating=args.M,
@@ -245,21 +246,7 @@ def _cmd_lan_check(args) -> dict:
         alpha=args.alpha,
         seed=args.seed,
         bounds=_bounds_of(args),
-    )
-    return report.to_dict()
-
-
-def _cmd_coverage(args) -> dict:
-    report = coverage_study(
-        Params(p=np.asarray(args.p), theta=args.theta),
-        n_judges=args.judges,
-        max_rating=args.M,
-        n_replications=args.R,
-        n_bootstrap=args.B,
-        alpha=args.alpha,
-        seed=args.seed,
-        bounds=_bounds_of(args),
-        workers=args.threads,
+        **extra,
     )
     return report.to_dict()
 
@@ -268,8 +255,10 @@ _HANDLERS = {
     "fit": _cmd_fit,
     "simulate": _cmd_simulate,
     "bootstrap": _cmd_bootstrap,
-    "lan-check": _cmd_lan_check,
-    "coverage": _cmd_coverage,
+    "lan-check": lambda args: _cmd_study(lan_check, args),
+    "coverage": lambda args: _cmd_study(
+        coverage_study, args, n_bootstrap=args.B, workers=args.threads
+    ),
 }
 
 

@@ -217,20 +217,15 @@ def _sharing_solves():
 
 
 @dataclass(frozen=True)
-class FitResult:
-    """Joint MLE over all candidate consensus rankings.
+class FitResult(ProfileFit):
+    """Joint MLE over all candidate consensus rankings: the winning consensus's
+    :class:`ProfileFit`, plus the search's ``method`` and counters.
 
-    ``candidates_profiled`` counts the candidates scored (J! for
-    exhaustive, the full rankings profiled for best-first);
-    ``nodes_expanded`` counts the prefixes the best-first search took off its
-    queue (zero for the exhaustive method).
+    ``candidates_profiled`` counts the candidates scored (J! for exhaustive,
+    the full rankings profiled for best-first); ``nodes_expanded`` counts the
+    prefixes the best-first search took off its queue (zero for exhaustive).
     """
 
-    consensus: np.ndarray
-    p: np.ndarray
-    theta: float
-    theta_clamped: bool
-    loglik: float
     method: str
     candidates_profiled: int
     nodes_expanded: int
@@ -238,19 +233,6 @@ class FitResult:
     def params_consistent(self) -> bool:
         """True when the reported consensus orders the fitted qualities."""
         return bool(np.all(np.diff(self.p[self.consensus]) >= 0.0))
-
-
-def _result(best: ProfileFit, method: str, candidates: int, nodes: int) -> FitResult:
-    return FitResult(
-        consensus=best.consensus,
-        p=best.p,
-        theta=best.theta,
-        theta_clamped=best.theta_clamped,
-        loglik=best.loglik,
-        method=method,
-        candidates_profiled=candidates,
-        nodes_expanded=nodes,
-    )
 
 
 # the most candidate rows one stack of the screen holds: 7! = 5040, which
@@ -339,7 +321,8 @@ def _screen_stack(stack: list[SufficientStats], bounds: ParamBounds) -> list[Fit
         candidate = tops[s] if row == first[s] else profile_loglik(stack[s], perms[row], bounds)
         if best[s] is None or candidate.loglik > best[s].loglik:
             best[s] = candidate
-    return [_result(winner, "exhaustive", math.factorial(n), 0) for winner in best]
+    search = dict(method="exhaustive", candidates_profiled=len(perms), nodes_expanded=0)
+    return [FitResult(**vars(winner), **search) for winner in best]
 
 
 def fit_exhaustive(data, bounds: ParamBounds = DEFAULT_BOUNDS) -> FitResult:
@@ -526,7 +509,9 @@ def fit_best_first(data, bounds: ParamBounds = DEFAULT_BOUNDS) -> FitResult:
             ):
                 if bound >= floor:
                     heapq.heappush(queue, (-bound, prefix + (obj,), count))
-    return _result(best, "best_first", candidates, nodes)
+    return FitResult(
+        **vars(best), method="best_first", candidates_profiled=candidates, nodes_expanded=nodes
+    )
 
 
 def fit(data, bounds: ParamBounds = DEFAULT_BOUNDS, method: str = "auto") -> FitResult:

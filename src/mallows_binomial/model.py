@@ -130,8 +130,11 @@ def _check_alpha(alpha) -> float:
 
 def _whole(value, message: str, minimum: int = 1) -> int:
     """``value`` as an int, refusing with ``message`` one below ``minimum`` or not whole."""
-    number = int(value)
-    if number != value or number < minimum:
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):  # None, nan, inf and the like
+        number = None
+    if number is None or number != value or number < minimum:
         raise ValueError(f"{message}, got {value}")
     return number
 

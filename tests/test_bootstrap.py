@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mallows_binomial import Dataset, Params, SufficientStats, sample_dataset, spawn_rng
+from mallows_binomial import bootstrap
 from mallows_binomial.bootstrap import (
     _fan_out,
     _JudgeTables,
@@ -244,3 +245,17 @@ def test_bootstrap_fit_validation():
         bootstrap_fit(data, n_replicates=5, alpha=1.2)
     with pytest.raises(ValueError, match="workers"):
         bootstrap_fit(data, n_replicates=5, workers=0)
+
+
+def test_bootstrap_fit_checks_the_seed_before_fitting(monkeypatch):
+    data = sample_dataset(PARAMS, 10, 5, seed=53)
+    original, fits = bootstrap.fit, []
+
+    def counted(*args, **kwargs):
+        fits.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bootstrap, "fit", counted)
+    with pytest.raises(ValueError, match=r"seed must be a non-negative integer, got 1\.7$"):
+        bootstrap_fit(data, 5, seed=1.7)
+    assert len(fits) == 0

@@ -1,5 +1,7 @@
 """Estimators against grid-search oracles, plus search-equivalence checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,10 @@ from hypothesis import strategies as st
 from mallows_binomial import (
     DEFAULT_BOUNDS,
     Dataset,
+    FitResult,
     ParamBounds,
     Params,
+    ProfileFit,
     SufficientStats,
     constrained_p_mle,
     expected_distance,
@@ -363,6 +367,26 @@ def test_fit_dispatch():
     assert auto.loglik == best_first.loglik
     with pytest.raises(ValueError, match="unknown method"):
         fit(data, method="grid")
+
+
+@pytest.mark.parametrize("n_objects", [4, 7], ids=["screen", "best_first"])
+def test_fit_result_is_the_winners_profile(n_objects):
+    params = Params(p=np.linspace(0.2, 0.8, n_objects), theta=1.0)
+    data = sample_dataset(params, 30, 4, seed=11)
+    result = fit(data)
+    assert result.method == ("exhaustive" if n_objects == 4 else "best_first")
+    assert isinstance(result, ProfileFit)
+    assert [field.name for field in dataclasses.fields(FitResult)] == [
+        "consensus", "p", "theta", "theta_clamped", "loglik",
+        "method", "candidates_profiled", "nodes_expanded",
+    ]
+    profile = profile_loglik(data, result.consensus)
+    for field in dataclasses.fields(ProfileFit):
+        got, want = getattr(result, field.name), getattr(profile, field.name)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want), field.name
+        else:
+            assert got == want, field.name
 
 
 def test_fit_accepts_sufficient_stats():

@@ -380,7 +380,7 @@ COUNTS = {
 }
 
 
-@pytest.mark.parametrize("value", [2.7, 10.5])
+@pytest.mark.parametrize("value", [2.7, 10.5, float("inf"), float("nan"), None])
 @pytest.mark.parametrize("call", COUNTS.values(), ids=COUNTS.keys())
 def test_count_arguments_refuse_non_integers(call, value, tmp_path):
     with pytest.raises(ValueError, match=rf"got {re.escape(str(value))}$"):
