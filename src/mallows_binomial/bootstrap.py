@@ -140,7 +140,7 @@ class _JudgeTables:
         weights = np.stack(
             [
                 np.bincount(_draw_judges(n_judges, rng), minlength=n_judges)
-                for rng in _streams(seed, start, stop)
+                for rng in _streams(seed, range(start, stop))
             ]
         )
         rating_sums = weights @ self.ratings

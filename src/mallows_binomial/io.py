@@ -5,11 +5,15 @@ integer row per judge, and a header-less rankings file with one row per
 judge listing object labels most preferred first.  Object labels are
 1-based in files and 0-based in memory: this module converts the labels and
 ``obj_`` names of panel files, and the CLI converts the consensus rankings
-of its documents (``cli._fit_document`` and ``cli._cmd_simulate``).  Parse
-errors, the csv module's included, are ``ValueError``s naming the file and
-the physical line the row starts on, blank lines counted.  Every file is
-written to a temporary file beside its path and renamed into place, so a
-failed write never leaves a half-written file.
+of its documents (``cli._fit_document`` and ``cli._cmd_simulate``).
+
+A plain file, only ASCII digits, commas and newlines under an exact header,
+is read in one ``np.loadtxt`` pass; any other file, or one that fails a
+check, is read again by the row parser, whose errors, the csv module's
+included, are ``ValueError``s naming the file and the physical line the row
+starts on, blank lines counted.  Every file is written to a temporary file
+beside its path and renamed into place, so a failed write never leaves a
+half-written file.
 """
 
 from __future__ import annotations
@@ -67,6 +71,10 @@ def _parse_int_row(path, line_no: int, row: list[str], width: int) -> list[int]:
             raise ValueError(
                 f"{path}, line {line_no}, column {col}: {cell!r} is not an integer"
             ) from None
+        if not -(2**63) <= values[-1] < 2**63:
+            raise ValueError(
+                f"{path}, line {line_no}, column {col}: {cell!r} is not a 64-bit integer"
+            )
     return values
 
 
@@ -75,12 +83,38 @@ def _parse_int_rows(path, lines, rows: list[list[str]], width: int) -> np.ndarra
     return np.array(parsed, dtype=np.int64)
 
 
+def _read_plain(path, header: bool, width: int | None = None) -> np.ndarray | None:
+    """A plain file's rows by one ``np.loadtxt``, else None: an exact header if
+    ``header`` (it sets ``width``), then only ASCII digits, commas and newlines.
+
+    loadtxt skips blank lines, as the row parser does, and refuses empty
+    cells, width changes and cells past int64.
+    """
+    with open(path, "rb") as handle:
+        body = handle.read()
+    if header:
+        head, _, body = body.partition(b"\n")
+        width = head.count(b",") + 1
+        if head != ",".join(f"obj_{j}" for j in range(1, width + 1)).encode():
+            return None
+    if body.translate(None, b"0123456789,\n") or not body.strip(b"\n"):
+        return None
+    try:
+        rows = np.loadtxt(io.BytesIO(body), delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return rows if width in (None, rows.shape[1]) else None
+
+
 def read_ratings(path) -> np.ndarray:
     """Read a ratings CSV into an ``I x J`` integer matrix (0-based objects).
 
     The first line must be the header ``obj_1,...,obj_J``; each later line
     holds one judge's integer ratings.
     """
+    ratings = _read_plain(path, header=True)
+    if ratings is not None:
+        return ratings
     lines, (header, *rows) = _read_rows(path)
     expected = [f"obj_{j}" for j in range(1, len(header) + 1)]
     if header != expected:
@@ -99,14 +133,18 @@ def read_rankings(path, n_objects: int | None = None) -> np.ndarray:
     No header: each line lists one judge's 1-based object labels, most
     preferred first, and must use every label ``1..J`` exactly once.
     """
-    lines, rows = _read_rows(path)
-    width = n_objects if n_objects is not None else len(rows[0])
-    parsed = _parse_int_rows(path, lines, rows, width)
+    parsed = _read_plain(path, header=False, width=n_objects)
+    if parsed is None:
+        lines, rows = _read_rows(path)
+        width = n_objects if n_objects is not None else len(rows[0])
+        parsed = _parse_int_rows(path, lines, rows, width)
+    width = parsed.shape[1]
     bad = np.flatnonzero(np.any(np.sort(parsed, axis=1) != np.arange(1, width + 1), axis=1))
     if bad.size:
+        # a plain file's rows are the row parser's rows: read it again for the line
         raise ValueError(
-            f"{path}, line {lines[bad[0]]}: ranking {parsed[bad[0]].tolist()} must use each "
-            f"label 1..{width} exactly once"
+            f"{path}, line {_read_rows(path)[0][bad[0]]}: ranking {parsed[bad[0]].tolist()} "
+            f"must use each label 1..{width} exactly once"
         )
     return parsed - 1
 

@@ -17,12 +17,15 @@ map a root seed plus an integer path to independent streams, and
 gives judge ``i`` the stream ``(seed, i)``, so a dataset is reproducible
 regardless of evaluation order and a larger dataset extends a smaller one
 drawn from the same seed.  Building one generator per judge (or per bootstrap
-replicate) costs more than the draws it makes, so the samplers derive the
-same generator states in bulk, by numpy's seed hash vectorised over the keys,
-and set them on one reused generator.
+replicate) costs more than its draws, so streams are derived in bulk, and
+:func:`sample_dataset` replays PCG64 and numpy's binomial inversion over all
+judges at once; the bootstrap and numpy's scalar-only draws set each state on
+one reused generator.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -69,11 +72,14 @@ def derive_seed(seed, *path) -> int:
 # numpy's SeedSequence hash constants (pool of four uint32 words) and the
 # PCG64 multiplier (O'Neill 2014)
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
+_MASK64 = (1 << 64) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# uint64 shift counts and low-half mask for the limb arithmetic
+_1, _11, _32, _58, _63 = (np.uint64(shift) for shift in (1, 11, 32, 58, 63))
+_LOW32 = np.uint64(_MASK32)
 # keys per bulk derivation, so the states of a large range are never all held
 _STATE_BLOCK = 4096
 
@@ -86,16 +92,27 @@ def _hashmix(value: np.ndarray, h: int, mult: int) -> tuple[np.ndarray, int]:
     return value ^ value >> 16, h
 
 
-def _pcg64_states(seed, keys) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``spawn_rng(seed, k)`` for each key ``k``.
+def _lcg(hi: np.ndarray, lo: np.ndarray, mult: int, inc_hi, inc_lo) -> tuple:
+    """``(state * mult + inc) mod 2**128`` on uint64 limbs ``(hi, lo)``.  Of the
+    products only ``lo * mult_lo`` needs its high word, built from 32-bit halves."""
+    m_hi, m_lo = np.uint64(mult >> 64), np.uint64(mult & _MASK64)
+    a1, a0 = lo >> _32, lo & _LOW32
+    b1, b0 = m_lo >> _32, m_lo & _LOW32
+    cross = a1 * b0
+    mid = (a0 * b0 >> _32) + (cross & _LOW32) + a0 * b1
+    carry_hi = a1 * b1 + (cross >> _32) + (mid >> _32)
+    new_lo = lo * m_lo + inc_lo
+    return carry_hi + hi * m_lo + lo * m_hi + inc_hi + (new_lo < inc_lo), new_lo
 
-    ``SeedSequence(seed, spawn_key=(k,))`` mixes the seed's words into a pool
-    that is ``SeedSequence(seed).pool`` for every key (the zero words padding
-    the seed change nothing), then mixes the key word into each pool word;
-    ``generate_state(4, uint64)`` hashes the pool, and PCG64 seeds from those
-    words with two steps of its 128-bit LCG.  The hash constants do not
-    depend on the data, so the per-key steps are uint32 numpy passes over
-    all keys at once.  A key must be one word, in ``[0, 2**32)``.
+
+def _pcg64_states(seed, keys) -> tuple[np.ndarray, ...]:
+    """uint64 limbs ``(state_hi, state_lo, inc_hi, inc_lo)`` of ``spawn_rng(seed, k)``.
+
+    ``SeedSequence(seed, spawn_key=(k,))`` mixes the key word, in ``[0,
+    2**32)``, into each word of ``SeedSequence(seed).pool`` (zero padding
+    changes nothing); ``generate_state(4, uint64)`` hashes that pool, and
+    PCG64 seeds from the words with two LCG steps.  The hash constants do
+    not depend on the data, so every step is one numpy pass over all keys.
     """
     seed, _ = _check_path(seed, ())
     keys = np.asarray(keys)
@@ -114,28 +131,40 @@ def _pcg64_states(seed, keys) -> list[tuple[int, int]]:
         value, h = _hashmix(pool[i % 4], h, _MULT_B)
         words.append(value.astype(np.uint64))
     # uint32 pairs are little-endian uint64 words: seed high, low, inc high, low
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(
-        *((words[j] | words[j + 1] << 32).tolist() for j in range(0, 8, 2))
-    ):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        states.append(((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
+    s_hi, s_lo, i_hi, i_lo = (words[j] | words[j + 1] << _32 for j in range(0, 8, 2))
+    inc_hi, inc_lo = i_hi << _1 | i_lo >> _63, i_lo << _1 | _1
+    # the first step from state 0 gives inc; adding the seed is a step with multiplier 1
+    hi, lo = _lcg(inc_hi, inc_lo, 1, s_hi, s_lo)
+    return (*_lcg(hi, lo, _PCG64_MULT, inc_hi, inc_lo), inc_hi, inc_lo)
 
 
-def _streams(seed, start: int, stop: int):
-    """The generators ``spawn_rng(seed, k)`` for ``k`` in ``start..stop-1``.
+def _pcg64_doubles(seed, keys, k: int) -> np.ndarray:
+    """Row ``r`` is ``spawn_rng(seed, keys[r]).random(k)``: each step advances every
+    LCG, then applies XSL-RR, ``rotr64(hi ^ lo, hi >> 58)`` (O'Neill 2014)."""
+    hi, lo, inc_hi, inc_lo = _pcg64_states(seed, keys)
+    out = np.empty((lo.size, k))
+    for column in range(k):
+        hi, lo = _lcg(hi, lo, _PCG64_MULT, inc_hi, inc_lo)
+        word, rot = hi ^ lo, hi >> _58
+        word = word >> rot | word << (-rot & _63)
+        out[:, column] = word >> _11
+    return out * 2.0**-53
+
+
+def _streams(seed, keys):
+    """The generators ``spawn_rng(seed, k)`` for ``k`` in ``keys``.
 
     One generator is yielded again with the next key's state, so each must
     be drawn from before the next is taken.
     """
     rng = np.random.Generator(np.random.PCG64())
     bit_generator = rng.bit_generator
-    for lo in range(start, stop, _STATE_BLOCK):
-        for state, inc in _pcg64_states(seed, range(lo, min(lo + _STATE_BLOCK, stop))):
+    for lo in range(0, len(keys), _STATE_BLOCK):
+        limbs = _pcg64_states(seed, keys[lo : lo + _STATE_BLOCK])
+        for s_hi, s_lo, i_hi, i_lo in zip(*(limb.tolist() for limb in limbs)):
             bit_generator.state = {
                 "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
+                "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
                 "has_uint32": 0,
                 "uinteger": 0,
             }
@@ -178,6 +207,14 @@ def sample_mallows(consensus, theta, n_samples: int, rng: np.random.Generator) -
     return _insertion_rankings(consensus, theta, uniforms)
 
 
+def _max_rating(max_rating) -> int:
+    """A rating scale numpy's binomial takes: a positive int64."""
+    max_rating = _whole(max_rating, "max_rating must be a positive integer")
+    if max_rating > 2**63 - 1:
+        raise ValueError(f"max_rating must be at most 2**63 - 1, got {max_rating}")
+    return max_rating
+
+
 def sample_ratings(p, max_rating: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an ``(n_samples, J)`` matrix of independent Binomial ratings."""
     p = np.asarray(p, dtype=float)
@@ -185,9 +222,33 @@ def sample_ratings(p, max_rating: int, n_samples: int, rng: np.random.Generator)
         raise ValueError("p must be a non-empty 1-D vector")
     if not np.all(np.isfinite(p)) or np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError(f"every rating probability must lie in [0, 1], got {p.tolist()}")
-    max_rating = _whole(max_rating, "max_rating must be a positive integer")
+    max_rating = _max_rating(max_rating)
     n_samples = _whole(n_samples, "n_samples must be a non-negative integer", 0)
     return rng.binomial(max_rating, p, size=(n_samples, p.size)).astype(np.int64)
+
+
+def _binomial_inversion(uniforms: np.ndarray, n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ``binomial(n, p)`` by inversion on one double per row, for ``p != 0``
+    and ``min(p, 1 - p) * n <= 30``; also the rows numpy would restart.
+
+    The expressions and their order are numpy 2.4's ``random_binomial`` and
+    ``random_binomial_inversion``; every row subtracts the same ``px``.
+    """
+    flip = not p <= 0.5
+    pp = 1.0 - p if flip else p
+    q = 1.0 - pp
+    qn = math.exp(n * math.log1p(-pp))
+    bound = int(min(n, n * pp + 10.0 * math.sqrt(n * pp * q + 1)))
+    variates = np.zeros(uniforms.size, dtype=np.int64)
+    rows = np.flatnonzero(uniforms > qn)
+    u, px = uniforms[rows], qn
+    for x in range(1, bound + 1):
+        variates[rows] = x
+        u = u - px
+        px = ((n - x + 1) * pp * px) / (x * q)
+        alive = u > px
+        rows, u = rows[alive], u[alive]
+    return (n - variates if flip else variates), rows
 
 
 def sample_dataset(
@@ -199,27 +260,34 @@ def sample_dataset(
 ) -> Dataset:
     """Simulate a full dataset of paired rankings and ratings.
 
-    Judge ``i`` draws its ``J - 1`` insertion uniforms and then its ratings
-    from the dedicated stream ``(seed, i)``, so row ``i`` depends only on the
-    seed and ``i``: its ranking is ``sample_mallows(consensus, theta, 1,
-    spawn_rng(seed, i))[0]``.  The rankings of all judges are then built in
-    one insertion pass.  ``consensus`` defaults to the ranking implied by
-    ``params.p``.
+    Judge ``i`` draws ``J - 1`` insertion uniforms, then ``binomial(max_rating,
+    p_j)`` per object, from stream ``(seed, i)``.  All judges go in whole-array
+    passes (PCG64 on uint64 limbs, numpy's binomial inversion, insertion); a
+    panel with a BTPE object, and any judge whose inversion restarts, goes one
+    judge at a time.  ``consensus`` defaults to the one ``params.p`` implies.
     """
     n_judges = _whole(n_judges, "n_judges must be a positive integer")
-    max_rating = _whole(max_rating, "max_rating must be a positive integer")
+    max_rating = _max_rating(max_rating)
     if consensus is None:
         consensus = params.consensus()
     consensus = as_ranking(consensus, params.n_objects)
     n = consensus.size
     p = params.p.tolist()
-    uniforms = np.empty((n_judges, n - 1))
-    ratings = []
-    for i, rng in enumerate(_streams(seed, 0, n_judges)):
-        rng.random(out=uniforms[i])
-        # scalar draws: the same variates as one array call, without its checks
-        ratings.append([rng.binomial(max_rating, p_j) for p_j in p])
-    rankings = _insertion_rankings(consensus, params.theta, uniforms)
-    return Dataset(
-        ratings=np.array(ratings, dtype=np.int64), rankings=rankings, max_rating=max_rating
-    )
+    # numpy draws nothing for p == 0, and one double per inverted variate
+    drawn = [j for j, p_j in enumerate(p) if p_j != 0.0]
+    ratings = np.zeros((n_judges, n), dtype=np.int64)
+    if all(min(p_j, 1.0 - p_j) * max_rating <= 30.0 for p_j in p):
+        uniforms = _pcg64_doubles(seed, np.arange(n_judges), n - 1 + len(drawn))
+        restart = [np.empty(0, dtype=np.intp)]
+        for column, j in enumerate(drawn, start=n - 1):
+            ratings[:, j], rows = _binomial_inversion(uniforms[:, column], max_rating, p[j])
+            restart.append(rows)
+        scalar = np.unique(np.concatenate(restart))
+    else:
+        uniforms = np.empty((n_judges, n - 1))
+        scalar = np.arange(n_judges)
+    for i, rng in zip(scalar.tolist(), _streams(seed, scalar)):
+        rng.random(out=uniforms[i, : n - 1])
+        ratings[i] = [rng.binomial(max_rating, p_j) for p_j in p]
+    rankings = _insertion_rankings(consensus, params.theta, uniforms[:, : n - 1])
+    return Dataset(ratings=ratings, rankings=rankings, max_rating=max_rating)

@@ -4,12 +4,17 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mallows_binomial import DEFAULT_BOUNDS, Params, cli, sample_dataset
+from mallows_binomial import io as mb_io
 from mallows_binomial.cli import run
 from mallows_binomial.io import (
     read_dataset,
@@ -154,6 +159,93 @@ def test_read_accepts_whitespace(tmp_path):
     path = tmp_path / "r.csv"
     path.write_text("obj_1, obj_2\n 1 , 2 \n")
     assert read_ratings(path).tolist() == [[1, 2]]
+
+
+def read_by_both_parsers(read) -> list:
+    """``read()`` by the bulk path, then by the row parser alone: each
+    outcome is the arrays ``read`` returns, as lists, or the error message."""
+    outcomes = []
+    for plain in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            if not plain:
+                patch.setattr(mb_io, "_read_plain", lambda *args, **kwargs: None)
+            try:
+                outcomes.append([array.tolist() for array in read()])
+            except ValueError as error:
+                outcomes.append(str(error))
+    return outcomes
+
+
+CELLS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.sampled_from(
+        [" 3", "+3", "1_0", "007", "-1", "", '"2"', "x", "99999999999999999999",
+         "9223372036854775807", "9223372036854775808"]
+    ),
+)
+
+
+@st.composite
+def panel_files(draw, header: bool) -> tuple[str, int]:
+    """A panel file's text, mostly plain, spelled in the ways a CSV may be."""
+    width = draw(st.integers(1, 4))
+    lines = []
+    if header:
+        names = ",".join(f"obj_{j}" for j in range(1, width + 1))
+        lines.append(draw(st.sampled_from([names, names, names, " " + names, "#" + names])))
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["plain"] * 5 + ["spelled", "blank", "commas", "#"]))
+        if kind == "plain":
+            lines.append(",".join(map(str, draw(st.permutations(range(1, width + 1))))))
+        elif kind == "spelled":
+            row_width = draw(st.sampled_from([width, width, width + 1, max(width - 1, 1)]))
+            lines.append(",".join(draw(st.lists(CELLS, min_size=row_width, max_size=row_width))))
+        else:
+            lines.append({"blank": "", "commas": "," * (width - 1), "#": "# note"}[kind])
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    return text, width
+
+
+@settings(max_examples=300, deadline=None)
+@given(panel_files(header=True), panel_files(header=False))
+def test_bulk_and_row_parsers_agree(ratings_file, rankings_file):
+    with tempfile.TemporaryDirectory() as directory:
+        ratings, rankings = os.path.join(directory, "r.csv"), os.path.join(directory, "k.csv")
+        with open(ratings, "w", newline="") as handle:
+            handle.write(ratings_file[0])
+        with open(rankings, "w", newline="") as handle:
+            handle.write(rankings_file[0])
+        bulk, rows = read_by_both_parsers(lambda: [read_ratings(ratings)])
+        assert bulk == rows
+        for args in [(), (rankings_file[1],), (rankings_file[1] + 1,)]:
+            bulk, rows = read_by_both_parsers(lambda: [read_rankings(rankings, *args)])
+            assert bulk == rows
+
+        def dataset():
+            data = read_dataset(ratings, rankings, 12)
+            return data.ratings, data.rankings
+
+        bulk, rows = read_by_both_parsers(dataset)
+        assert bulk == rows
+
+
+def test_written_panel_takes_the_bulk_path_in_less_memory(tmp_path):
+    _, ratings, rankings = write_panel(tmp_path, n_judges=20_000)
+    assert mb_io._read_plain(ratings, header=True) is not None
+    assert mb_io._read_plain(rankings, header=False, width=4) is not None
+    peaks = []
+    for plain in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            if not plain:
+                patch.setattr(mb_io, "_read_plain", lambda *args, **kwargs: None)
+            tracemalloc.start()
+            try:
+                read_dataset(ratings, rankings, 5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[0] < peaks[1]
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +404,33 @@ def test_cli_out_of_range_rating_fails(tmp_path, capsys):
     assert status == 1
     message = capsys.readouterr().err
     assert "rating 9" in message and "obj_1" in message
+
+
+@pytest.mark.parametrize("command", ["fit", "bootstrap"])
+@pytest.mark.parametrize("bad_file", ["ratings", "rankings"])
+def test_cli_names_a_cell_past_int64(tmp_path, capsys, command, bad_file):
+    files = {"ratings": "obj_1,obj_2\n1,2\n", "rankings": "1,2\n"}
+    files[bad_file] = files[bad_file][:-2] + "99999999999999999999\n"
+    paths = {name: tmp_path / f"{name}.csv" for name in files}
+    for name, text in files.items():
+        paths[name].write_text(text)
+    status = run([command, "--ratings", str(paths["ratings"]), "--rankings",
+                  str(paths["rankings"]), "--M", "5"])
+    assert status == 1
+    line = 2 if bad_file == "ratings" else 1
+    assert capsys.readouterr().err == (
+        f"error: {paths[bad_file]}, line {line}, column 2: '99999999999999999999' "
+        "is not a 64-bit integer\n"
+    )
+
+
+def test_cli_simulate_refuses_a_scale_past_int64(tmp_path, capsys):
+    status = run(["simulate", "--p", "0.3,0.6", "--theta", "1", "--judges", "5",
+                  "--M", "10000000000000000000", "--ratings", str(tmp_path / "r.csv"),
+                  "--rankings", str(tmp_path / "k.csv")])
+    assert status == 1
+    assert capsys.readouterr().err.startswith("error: max_rating must be at most 2**63 - 1")
+    assert not os.listdir(tmp_path)
 
 
 def test_cli_lan_check_at_huge_theta_fails_cleanly(tmp_path, capsys):

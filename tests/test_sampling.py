@@ -1,5 +1,7 @@
 """Sampler exactness, stream determinism, and distributional agreement."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,13 @@ from mallows_binomial import (
     expected_distance,
     kendall_distance,
 )
+from mallows_binomial import sampling
 from mallows_binomial.sampling import (
+    _PCG64_MULT,
     _STATE_BLOCK,
+    _binomial_inversion,
     _insertion_rankings,
+    _pcg64_doubles,
     _pcg64_states,
     derive_seed,
     sample_dataset,
@@ -99,7 +105,21 @@ def test_pcg64_states_match_numpy_seeding(seed):
         np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))).state["state"]
         for k in keys
     ]
-    assert _pcg64_states(seed, keys) == [(w["state"], w["inc"]) for w in want]
+    s_hi, s_lo, i_hi, i_lo = (limb.tolist() for limb in _pcg64_states(seed, keys))
+    got = [(a << 64 | b, c << 64 | d) for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo)]
+    assert got == [(w["state"], w["inc"]) for w in want]
+
+
+@pytest.mark.parametrize(
+    "seed", [0, 7, 2**32 - 1, 2**32, 2**64 - 1, derive_seed(42, 5, 0), 2**128 + 5]
+)
+def test_limb_pcg64_matches_numpy_draws(seed):
+    keys = [*range(16), 2**32 - 1]
+    doubles = _pcg64_doubles(seed, keys, 11)
+    for row, k in zip(doubles, keys):
+        raw = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))).random_raw(11)
+        assert row.tobytes() == ((raw >> 11) * 2.0**-53).tobytes()
+        assert row.tobytes() == spawn_rng(seed, k).random(11).tobytes()
 
 
 @pytest.mark.parametrize("keys", [[2**32], [0, 2**32 + 5], [2**70], [-1]])
@@ -229,6 +249,62 @@ def test_sample_ratings_shape_and_range():
     assert abs(draws[:, 0].mean() - 0.6) < 0.1
 
 
+def generator_before(u: float) -> np.random.Generator:
+    """A generator whose next double is ``u``, a multiple of ``2**-53``.
+
+    Its state one LCG step later is ``(hi, lo) = (0, u * 2**64)``, whose
+    XSL-RR output is ``lo`` unrotated; the state before is one step back.
+    """
+    inc, after = 1, int(u * 2.0**53) << 11
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": (after - inc) * pow(_PCG64_MULT, -1, 2**128) % 2**128, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.7, 1.0])
+@pytest.mark.parametrize("max_rating", [1, 5, 10, 30, 60])
+def test_binomial_inversion_replays_numpy(max_rating, p):
+    if p == 0.0:
+        # numpy returns 0 without a draw, so sample_dataset gives it no double
+        rng = spawn_rng(5)
+        assert rng.binomial(max_rating, p) == 0 and rng.random() == spawn_rng(5).random()
+        return
+    # doubles a few ulps around every cumulative boundary, where any
+    # difference in rounding shows, and the largest double
+    pp = min(p, 1.0 - p)
+    pmf = np.cumsum([math.comb(max_rating, x) * pp**x * (1 - pp) ** (max_rating - x)
+                     for x in range(max_rating + 1)])
+    ulps = np.arange(-4, 5) * 2.0**-53
+    doubles = np.unique(np.clip(np.floor((pmf[:, None] + ulps) * 2**53) / 2**53,
+                                0.0, 1.0 - 2.0**-53))
+    variates, restarts = _binomial_inversion(doubles, max_rating, p)
+    for k, u in enumerate(doubles.tolist()):
+        rng, after = generator_before(u), generator_before(u)
+        after.random()
+        want = rng.binomial(max_rating, p)
+        if k in restarts:
+            # numpy restarts on the next double
+            assert rng.random() != after.random()
+        else:
+            assert variates[k] == want
+            assert rng.random() == after.random()
+
+
+def test_binomial_inversion_flags_what_numpy_restarts():
+    # 1 - 2**-53 outruns the rounded pmf sum at n = 2, p = 0.8
+    doubles = generator_before(1.0 - 2.0**-53).random(2)
+    variates, restarts = _binomial_inversion(doubles[:1], 2, 0.8)
+    assert restarts.tolist() == [0]
+    again, restarts = _binomial_inversion(doubles[1:], 2, 0.8)
+    assert restarts.size == 0
+    assert generator_before(1.0 - 2.0**-53).binomial(2, 0.8) == again[0]
+
+
 def test_sample_ratings_validation():
     rng = spawn_rng(0)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
@@ -237,6 +313,8 @@ def test_sample_ratings_validation():
         sample_ratings([0.5], 0, 10, rng)
     with pytest.raises(ValueError, match="n_samples"):
         sample_ratings([0.5], 4, -1, rng)
+    with pytest.raises(ValueError, match="max_rating must be at most 2"):
+        sample_ratings([0.5], 2**63, 10, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +383,25 @@ def unchecked_params(p, theta) -> Params:
         (Params(p=[0.7, 0.2, 0.55, 0.35, 0.9, 0.1], theta=0.6), 1, 40, 9),
         (Params(p=[0.45, 0.5, 0.55], theta=0.05), 30, 1, 2**64 - 1),
         (Params(p=[0.2, 0.8], theta=3.0), _STATE_BLOCK + 3, 5, 2**128 + 5),
+        (Params(p=[0.3, 0.5, 0.8], theta=0.7), _STATE_BLOCK + 3, 61, 3),
+        (unchecked_params([0.0, 0.35, 1.0, 0.6], 0.8), 60, 9, 17),
     ],
     ids=["strong", "p-0-and-1", "one-object-p-1", "one-object", "one-judge", "near-null",
-         "past-one-block"],
+         "past-one-block", "btpe", "restarts"],
 )
-def test_sample_dataset_matches_per_judge_generators(params, n_judges, max_rating, seed):
+def test_sample_dataset_matches_per_judge_generators(
+    params, n_judges, max_rating, seed, request, monkeypatch
+):
+    if request.node.callspec.id == "restarts":
+        # flag every third judge as restarted, with a spoiled variate: the
+        # scalar path must redraw it
+        def flagging(uniforms, n, p):
+            variates, rows = _binomial_inversion(uniforms, n, p)
+            rows = np.union1d(rows, np.arange(0, uniforms.size, 3))
+            variates[rows] = -1
+            return variates, rows
+
+        monkeypatch.setattr(sampling, "_binomial_inversion", flagging)
     data = sample_dataset(params, n_judges, max_rating, seed)
     ratings, rankings = sample_dataset_loop(params, n_judges, max_rating, seed)
     assert data.ratings.tobytes() == ratings.astype(np.int64).tobytes()
@@ -353,6 +445,8 @@ def test_sample_dataset_explicit_consensus():
 def test_sample_dataset_validation():
     with pytest.raises(ValueError, match="judge"):
         sample_dataset(PARAMS, 0, 5, seed=1)
+    with pytest.raises(ValueError, match="max_rating must be at most 2"):
+        sample_dataset(PARAMS, 5, 2**63, seed=1)
     with pytest.raises(ValueError, match="expected 4"):
         sample_dataset(PARAMS, 5, 5, seed=1, consensus=[0, 1, 2])
 
