@@ -14,14 +14,15 @@ reference band.  :func:`coverage_study` runs the full pipeline instead,
 wrapping a bootstrap interval around every simulated dataset and measuring
 how often the intervals cover the truth.
 
-Replication ``r`` derives its dataset seed from ``(seed, r, 0)`` and its
-bootstrap seed from ``(seed, r, 1)``, so either study is reproducible and
-individual replications can be re-run in isolation.
+Both studies run replication ``r`` through one driver: its dataset seed is
+``(seed, r, 0)`` and its bootstrap seed ``(seed, r, 1)``, so either study is
+reproducible and individual replications can be re-run in isolation.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtri
@@ -152,16 +153,10 @@ def lan_check(
     _whole(n_replications, "lan_check needs at least two replications", 2)
     se = theoretical_se(params, max_rating, n_judges)
     z_crit = float(ndtri(1.0 - alpha / 2.0))
-    truth = params.consensus()
-    p_z = np.empty((n_replications, params.n_objects))
-    theta_z = np.empty(n_replications)
-    recovered = np.empty(n_replications, dtype=bool)
-    for r in range(n_replications):
-        data = sample_dataset(params, n_judges, max_rating, derive_seed(seed, r, 0))
-        result = fit(data, bounds)
-        p_z[r] = (result.p - params.p) / se.p
-        theta_z[r] = (result.theta - params.theta) / se.theta
-        recovered[r] = np.array_equal(result.consensus, truth)
+    recovered, p, theta = _fan_out(
+        _replications, n_replications, 1, _point_fit, params, n_judges, max_rating, seed, bounds
+    )
+    p_z, theta_z = (p - params.p) / se.p, (theta - params.theta) / se.theta
     return CoverageReport(
         kind="z",
         **echo,
@@ -176,23 +171,35 @@ def lan_check(
 
 
 def _replications(job) -> tuple[np.ndarray, ...]:
-    """Bootstraps of replications ``start..stop-1`` of one study, in order.
+    """Replications ``start..stop-1`` of one study, in order.
 
-    ``job`` is ``(params, n_judges, max_rating, n_bootstrap, alpha, seed,
-    bounds, start, stop)``.  Every fit of the range, point fits included,
-    shares one memo of concentration solves.  Returns the stacked quality and
-    concentration intervals, clamp rates and whether each point fit recovered
-    the consensus.
+    ``job`` is ``(replicate, params, n_judges, max_rating, seed, bounds,
+    start, stop)``.  Replication ``r`` samples a panel from ``(seed, r, 0)``;
+    ``replicate(panel, derive_seed(seed, r, 1), bounds)`` gives its point
+    consensus, then its columns.  The range's fits, point fits included,
+    share one memo of concentration solves.  Returns whether each point
+    consensus is the truth's, then the stacked columns.
     """
-    params, n_judges, max_rating, n_bootstrap, alpha, seed, bounds, start, stop = job
+    replicate, params, n_judges, max_rating, seed, bounds, start, stop = job
     rows = []
     with _sharing_solves():
         for r in range(start, stop):
             data = sample_dataset(params, n_judges, max_rating, derive_seed(seed, r, 0))
-            boot = bootstrap_fit(data, n_bootstrap, alpha, derive_seed(seed, r, 1), bounds)
-            recovered = np.array_equal(boot.point.consensus, params.consensus())
-            rows.append((boot.p_intervals, boot.theta_interval, boot.clamp_rate, recovered))
+            consensus, *row = replicate(data, derive_seed(seed, r, 1), bounds)
+            rows.append((np.array_equal(consensus, params.consensus()), *row))
     return tuple(np.array(column) for column in zip(*rows))
+
+
+def _point_fit(data, seed, bounds):
+    """A :func:`lan_check` replication: point consensus, qualities, concentration."""
+    result = fit(data, bounds)
+    return result.consensus, result.p, result.theta
+
+
+def _interval_fit(n_bootstrap, alpha, data, seed, bounds):
+    """A :func:`coverage_study` replication: point consensus, intervals, clamp rate."""
+    boot = bootstrap_fit(data, n_bootstrap, alpha, seed, bounds)
+    return boot.point.consensus, boot.p_intervals, boot.theta_interval, boot.clamp_rate
 
 
 def coverage_study(
@@ -220,9 +227,9 @@ def coverage_study(
     n_judges, max_rating, n_replications, alpha, seed = (echo[key] for key in _RUN_ARGS)
     n_bootstrap = _whole(n_bootstrap, "n_bootstrap must be a positive integer")
     workers = _whole(workers, "workers must be a positive integer")
-    p_intervals, theta_intervals, clamp, recovered = _fan_out(
+    recovered, p_intervals, theta_intervals, clamp = _fan_out(
         _replications, n_replications, workers,
-        params, n_judges, max_rating, n_bootstrap, alpha, seed, bounds,
+        partial(_interval_fit, n_bootstrap, alpha), params, n_judges, max_rating, seed, bounds,
     )
     (lows, highs), (lo, hi) = np.moveaxis(p_intervals, -1, 0), theta_intervals.T
     p_covered = (lows <= params.p) & (params.p <= highs)

@@ -158,16 +158,12 @@ def _bounds_of(args) -> ParamBounds:
 
 
 def _fit_document(result: FitResult) -> dict:
-    return {
-        "consensus": [int(obj) + 1 for obj in result.consensus],
-        "p": [float(v) for v in result.p],
-        "theta": result.theta,
-        "theta_clamped": result.theta_clamped,
-        "loglik": result.loglik,
-        "method": result.method,
-        "candidates_profiled": result.candidates_profiled,
-        "nodes_expanded": result.nodes_expanded,
-    }
+    # every field, in declaration order (the order of a fit's CSV rows)
+    return dict(
+        vars(result),
+        consensus=[int(obj) + 1 for obj in result.consensus],
+        p=[float(v) for v in result.p],
+    )
 
 
 def _bootstrap_document(boot: BootstrapResult) -> dict:

@@ -322,8 +322,9 @@ class Dataset:
                 f"ranking row {bad_row} is not a permutation of 0..{n_objects - 1}: "
                 f"{rankings[bad_row].tolist()}"
             )
-        object.__setattr__(self, "ratings", _freeze(ratings.astype(np.int64)))
-        object.__setattr__(self, "rankings", _freeze(rankings.astype(np.intp)))
+        # the np.array copies above are this dataset's own: convert them in place
+        object.__setattr__(self, "ratings", _freeze(ratings.astype(np.int64, copy=False)))
+        object.__setattr__(self, "rankings", _freeze(rankings.astype(np.intp, copy=False)))
         object.__setattr__(self, "max_rating", max_rating)
 
     @property

@@ -11,7 +11,9 @@ panel the exhaustive screen takes, so those fits run the best-first search
 and lock ``nodes_expanded`` and ``candidates_profiled`` too.  The J = 7 fit
 and bootstrap lock a panel near the crossover between the two searches:
 whichever search runs there, the bootstrap's intervals, clamp rate and
-consensus agreement must keep every byte.  Re-record
+consensus agreement must keep every byte.  The J = 7 ``lan-check`` CSV
+locks a study's replications past the exhaustive screen, and the study rows
+of the CSV summary.  Re-record
 (``PYTHONPATH=src python -m tests.test_golden``) only for a deliberate,
 documented change of the output contract, such as the removal of the
 ``--exhaustive-cap`` flag, which deleted its line from every echoed
@@ -123,6 +125,11 @@ CASES = (
         ["coverage", *J4, "--judges", "30", "--R", "4", "--B", "20", "--seed", "5",
          "--out", "coverage.json"],
         ("coverage.json",),
+    ),
+    (
+        ["lan-check", *J7, "--judges", "40", "--R", "6", "--seed", "3",
+         "--format", "csv", "--out", "lan_check_j7.csv"],
+        ("lan_check_j7.csv",),
     ),
 )
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -403,6 +404,25 @@ def test_dataset_take_keeps_pairs():
     assert sub.ratings.tolist() == [[1, 1, 1], [0, 1, 2], [1, 1, 1]]
     assert sub.rankings.tolist() == [[1, 0, 2], [0, 1, 2], [1, 0, 2]]
     assert sub.max_rating == data.max_rating
+
+
+def test_dataset_copies_each_matrix_once():
+    rng = np.random.default_rng(0)
+    ratings = rng.integers(0, 6, size=(20_000, 6), dtype=np.int64)
+    rankings = np.argsort(rng.random((20_000, 6)), axis=1).astype(np.int64)
+    tracemalloc.start()
+    try:
+        data = Dataset(ratings, rankings, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the two 0.92 MiB copies it keeps, plus the checks' temporaries; a
+    # second copy of each matrix took the peak to 3.7 MiB
+    assert peak < 3.2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    for caller, own in ((ratings, data.ratings), (rankings, data.rankings)):
+        assert caller.flags.writeable and not own.flags.writeable
+        assert not np.shares_memory(caller, own)
+        assert np.array_equal(caller, own)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@
 Fits that share a ``_sharing_solves`` block share one memo, whatever their
 judge count, object count or box: a hit returns what the solve would have,
 so every result is bit for bit the one a separate fit gives.  A replication
-range of ``coverage_study`` is one block, so it solves each argument tuple
-once.
+range of ``coverage_study`` or ``lan_check`` is one block, so it solves each
+argument tuple once.
 """
 
 import numpy as np
+import pytest
 
 from mallows_binomial import (
     DEFAULT_BOUNDS,
@@ -19,7 +20,7 @@ from mallows_binomial import (
     fit,
     sample_dataset,
 )
-from mallows_binomial.asymptotics import coverage_study
+from mallows_binomial.asymptotics import coverage_study, lan_check
 from mallows_binomial.estimation import _fit_stack, _sharing_solves
 
 FIELDS = ("consensus", "p", "theta", "theta_clamped", "loglik", "candidates_profiled")
@@ -75,10 +76,15 @@ def count_solves(monkeypatch) -> list:
     return calls
 
 
-def test_coverage_range_solves_each_argument_tuple_once(monkeypatch):
-    kwargs = dict(n_judges=40, max_rating=5, n_replications=6, n_bootstrap=40, seed=23)
+@pytest.mark.parametrize(
+    "study, extra",
+    [(coverage_study, dict(n_bootstrap=40, workers=1)), (lan_check, {})],
+    ids=["coverage_study", "lan_check"],
+)
+def test_study_range_solves_each_argument_tuple_once(monkeypatch, study, extra):
+    kwargs = dict(n_judges=40, max_rating=5, n_replications=6, seed=23, **extra)
     truth = Params(p=[0.2, 0.5, 0.8], theta=1.5)
-    plain = coverage_study(truth, workers=1, **kwargs)
+    plain = study(truth, **kwargs)
     calls = count_solves(monkeypatch)
-    assert coverage_study(truth, workers=1, **kwargs) == plain
+    assert study(truth, **kwargs) == plain
     assert calls and len(calls) == len(set(calls))
