@@ -322,7 +322,7 @@ class Dataset:
                 f"ranking row {bad_row} is not a permutation of 0..{n_objects - 1}: "
                 f"{rankings[bad_row].tolist()}"
             )
-        # the np.array copies above are this dataset's own: convert them in place
+        # the np.array copies above are this dataset's own, so astype need not copy again
         object.__setattr__(self, "ratings", _freeze(ratings.astype(np.int64, copy=False)))
         object.__setattr__(self, "rankings", _freeze(rankings.astype(np.intp, copy=False)))
         object.__setattr__(self, "max_rating", max_rating)
