@@ -2,15 +2,17 @@
 
 Every subcommand writes exactly one output document (JSON by default, CSV
 summary on request) that echoes every parsed argument but ``--threads``, and
-exits with status 0 only when that document was completely written.  A
-document, like each CSV file of ``simulate``, goes to a temporary file beside
-its path and is renamed into place, so a failed write leaves any earlier file
-at that path untouched.  ``simulate`` writes both CSV files before renaming
-either; only a failure between the two renames can leave the new ratings
-beside the earlier rankings.  It writes nothing, and samples nothing, when
-two of ``--ratings``, ``--rankings`` and ``--out`` name one file.  Documents
-contain no timestamps or machine identifiers: the same invocation always
-produces the same bytes, whatever ``--threads`` says.
+exits with status 0 only when that document was completely written.  Bad
+input, a failed read or write, and running out of memory each print one
+``error:`` line and exit with status 1.  A document, like each CSV file of
+``simulate``, goes to a temporary file beside its path and is renamed into
+place, so a failed write leaves any earlier file at that path untouched.
+``simulate`` writes both CSV files before renaming either; only a failure
+between the two renames can leave the new ratings beside the earlier
+rankings.  It writes nothing, and samples nothing, when two of
+``--ratings``, ``--rankings`` and ``--out`` name one file.  Documents contain
+no timestamps or machine identifiers: the same invocation always produces
+the same bytes, whatever ``--threads`` says.
 
 Object labels are 1-based in everything the CLI reads or writes.
 """
@@ -330,8 +332,8 @@ def run(argv=None) -> int:
             sys.stdout.write(text)
         else:
             _write_atomically(args.out, text)
-    except (ValueError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as error:
+        print(f"error: {str(error) or type(error).__name__}", file=sys.stderr)
         return 1
     return 0
 

@@ -8,12 +8,16 @@ judge listing object labels most preferred first.  Object labels are
 of its documents (``cli._fit_document`` and ``cli._cmd_simulate``).
 
 A plain file, only ASCII digits, commas and newlines under an exact header,
-is read in one ``np.loadtxt`` pass; any other file, or one that fails a
-check, is read again by the row parser, whose errors, the csv module's
-included, are ``ValueError``s naming the file and the physical line the row
-starts on, blank lines counted.  Every file is written to a temporary file
-beside its path and renamed into place, so a failed write never leaves a
-half-written file.
+is read as a digit matrix: numpy passes over its bytes find the separators
+and add up each cell's digits by place.  Any other file, or one that fails a
+check (an empty cell, a cell over 18 characters, a width change), is read
+again by the row parser, whose errors, the csv module's included, are
+``ValueError``s naming the file and the physical line the row starts on,
+blank lines counted.  The writers take 2-D integer matrices only and build
+a file's bytes the same way: digit slots filled by place, leading zeros and
+unused sign slots masked out, giving the bytes ``csv.writer`` gives.  Every
+file is written to a temporary file beside its path and renamed into place,
+so a failed write never leaves a half-written file.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from __future__ import annotations
 import array
 import contextlib
 import csv
-import io
 import os
 
 import numpy as np
@@ -83,12 +86,49 @@ def _parse_int_rows(path, lines, rows: list[list[str]], width: int) -> np.ndarra
     return np.array(parsed, dtype=np.int64)
 
 
-def _read_plain(path, header: bool, width: int | None = None) -> np.ndarray | None:
-    """A plain file's rows by one ``np.loadtxt``, else None: an exact header if
-    ``header`` (it sets ``width``), then only ASCII digits, commas and newlines.
+def _digit_cells(body: bytes, width: int | None) -> np.ndarray | None:
+    """The rows of ``body``, only ASCII digits, commas and newlines, else None.
 
-    loadtxt skips blank lines, as the row parser does, and refuses empty
-    cells, width changes and cells past int64.
+    Blank lines are dropped, as the row parser drops them, and each cell ends
+    at a comma or newline.  The digits of every cell are read right-aligned,
+    one place ``k`` at a time, most significant first, into ``value * 10 +
+    digit``.  An empty cell, a cell over 18 characters (int64 holds every
+    18-digit number), or a row whose width differs from ``width`` (or from
+    the first row's) gives None.
+    """
+    text = np.frombuffer(body if body.endswith(b"\n") else body + b"\n", np.uint8)
+    newline = text == ord("\n")
+    blank = newline.copy()
+    blank[1:] &= newline[:-1]  # a newline first or after a newline ends a blank line
+    if blank.any():
+        text, newline = text[~blank], newline[~blank]
+    ends = np.flatnonzero(newline | (text == ord(",")))
+    lengths = np.diff(ends, prepend=-1)
+    lengths -= 1
+    longest = lengths.max()
+    if lengths.min() == 0 or longest > 18:
+        return None
+    rows = np.count_nonzero(newline)
+    if width is None:
+        width = int(np.searchsorted(ends, newline.argmax())) + 1
+    if ends.size != rows * width or not newline[ends[width - 1 :: width]].all():
+        return None
+    values = np.zeros(ends.size, np.int64)
+    place = ends  # walks each cell from its 10**(longest - 1) digit to its units
+    place -= longest
+    for k in range(longest - 1, -1, -1):
+        digits = text[place] - ord("0")
+        digits[lengths <= k] = 0  # before a shorter cell's first digit
+        values *= 10
+        values += digits
+        place += 1
+    return values.reshape(rows, width)
+
+
+def _read_plain(path, header: bool, width: int | None = None) -> np.ndarray | None:
+    """A plain file's rows read as a digit matrix (:func:`_digit_cells`), else
+    None: an exact header if ``header`` (it sets ``width``), then only ASCII
+    digits, commas and newlines, in cells the digit matrix takes.
     """
     with open(path, "rb") as handle:
         body = handle.read()
@@ -99,11 +139,7 @@ def _read_plain(path, header: bool, width: int | None = None) -> np.ndarray | No
             return None
     if body.translate(None, b"0123456789,\n") or not body.strip(b"\n"):
         return None
-    try:
-        rows = np.loadtxt(io.BytesIO(body), delimiter=",", dtype=np.int64, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return rows if width in (None, rows.shape[1]) else None
+    return _digit_cells(body, width)
 
 
 def read_ratings(path) -> np.ndarray:
@@ -209,21 +245,53 @@ def _write_atomically(path, text: str) -> None:
             handle.write(text)
 
 
-def _write_csv(path, rows, header=None) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    if header is not None:
-        writer.writerow(header)
-    writer.writerows(rows)
-    _write_atomically(path, buffer.getvalue())
+def _integer_matrix(matrix) -> np.ndarray:
+    """``matrix`` as an array, refused unless the readers can read it back."""
+    matrix = np.asarray(matrix)
+    if matrix.dtype.kind not in "iu":
+        raise ValueError(f"can only write integer matrices, got dtype {matrix.dtype}")
+    if matrix.ndim != 2 or 0 in matrix.shape:
+        raise ValueError(f"can only write a non-empty 2-D matrix, got shape {matrix.shape}")
+    return matrix
+
+
+def _write_digits(path, matrix: np.ndarray, header: str = "") -> None:
+    """Write ``header``, then an integer matrix as CSV rows: cells as ``str``
+    spells them, ``,`` between cells and ``\\n`` after each row.
+
+    Each cell gets a sign slot, ``d`` digit slots (``d`` digits spell the
+    largest magnitude) and a separator slot; the file is the slots left once
+    leading zeros and unused sign slots are masked out.
+    """
+    negative = matrix < 0
+    magnitude = matrix.astype(np.uint64)
+    np.negative(magnitude, out=magnitude, where=negative)  # |-2**63| fits uint64
+    top = int(magnitude.max())
+    # every power 10**k below top fits top's type
+    magnitude = magnitude.astype(np.min_scalar_type(top))
+    d = len(str(top))
+    slots = np.empty(matrix.shape + (d + 2,), np.uint8)
+    keep = np.empty(slots.shape, bool)
+    slots[..., 0], keep[..., 0] = ord("-"), negative
+    for k in range(d):
+        slots[..., d - k] = magnitude // 10**k % 10 + ord("0")
+        keep[..., d - k] = magnitude >= 10**k
+    keep[..., d] = True  # zero is spelt 0
+    slots[..., -1], keep[..., -1] = ord(","), True
+    slots[:, -1, -1] = ord("\n")
+    with _replacing(path) as (temporary,):
+        with open(temporary, "xb") as handle:
+            handle.write(header.encode())
+            handle.write(slots[keep])
 
 
 def write_ratings(path, ratings) -> None:
-    """Write a ratings matrix with the ``obj_1..obj_J`` header."""
-    ratings = np.asarray(ratings)
-    _write_csv(path, ratings.tolist(), [f"obj_{j}" for j in range(1, ratings.shape[1] + 1)])
+    """Write an integer ratings matrix with the ``obj_1..obj_J`` header."""
+    ratings = _integer_matrix(ratings)
+    header = ",".join(f"obj_{j}" for j in range(1, ratings.shape[1] + 1))
+    _write_digits(path, ratings, header + "\n")
 
 
 def write_rankings(path, rankings) -> None:
-    """Write 0-based ranking rows as 1-based labels, no header."""
-    _write_csv(path, (np.asarray(rankings) + 1).tolist())
+    """Write 0-based integer ranking rows as 1-based labels, no header."""
+    _write_digits(path, _integer_matrix(rankings) + 1)

@@ -1,7 +1,10 @@
 """File formats, CLI subcommands, exit codes, and document determinism."""
 
+import csv
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from mallows_binomial import DEFAULT_BOUNDS, Params, cli, sample_dataset
+from mallows_binomial import DEFAULT_BOUNDS, Params, cli, model, sample_dataset
 from mallows_binomial import io as mb_io
 from mallows_binomial.cli import run
 from mallows_binomial.io import (
@@ -61,6 +65,74 @@ def test_rankings_file_uses_one_based_labels(tmp_path):
     write_rankings(path, np.array([[2, 0, 1]]))
     assert path.read_text() == "3,1,2\n"
     assert read_rankings(path).tolist() == [[2, 0, 1]]
+
+
+def csv_writer_bytes(rows, header=None) -> bytes:
+    """The bytes ``csv.writer`` gives for ``rows``: the writers' reference."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    if header is not None:
+        writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode()
+
+
+@st.composite
+def integer_matrices(draw) -> np.ndarray:
+    """An int64, int32 or uint8 matrix: small ratings, zeros, the dtype's
+    extremes, and for int64 cells of 19 digits."""
+    dtype = np.dtype(draw(st.sampled_from(["int64", "int32", "uint8"])))
+    low, high = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+    cells = [st.integers(0, 12), st.sampled_from([low, high, 0, -1]).filter(lambda x: x >= low),
+             st.integers(low, high)]
+    if dtype == np.int64:
+        cells += [st.integers(10**18, high), st.integers(low, -(10**18))]
+    shape = draw(st.tuples(st.integers(1, 5), st.integers(1, 5)))
+    return draw(arrays(dtype, shape, elements=st.one_of(cells)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_writers_give_csv_writer_bytes(matrix):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "m.csv")
+        write_ratings(path, matrix)
+        header = [f"obj_{j}" for j in range(1, matrix.shape[1] + 1)]
+        with open(path, "rb") as handle:
+            assert handle.read() == csv_writer_bytes(matrix.tolist(), header)
+        write_rankings(path, matrix)
+        with open(path, "rb") as handle:
+            assert handle.read() == csv_writer_bytes((matrix + 1).tolist())
+
+
+@pytest.mark.parametrize("writer", [write_ratings, write_rankings])
+@pytest.mark.parametrize(
+    "matrix, named",
+    [
+        (np.array([[1.5, 2.0]]), "dtype float64"),
+        (np.array([[True, False]]), "dtype bool"),
+        (np.array([1, 2]), r"shape \(2,\)"),
+        (np.zeros((0, 3), np.int64), r"shape \(0, 3\)"),
+        (np.zeros((2, 0), np.int64), r"shape \(2, 0\)"),
+    ],
+    ids=["float", "bool", "1-D", "no rows", "no columns"],
+)
+def test_writers_refuse_what_cannot_be_read_back(tmp_path, writer, matrix, named):
+    with pytest.raises(ValueError, match=named):
+        writer(tmp_path / "panel.csv", matrix)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("field, write", [("ratings", write_ratings), ("rankings", write_rankings)])
+def test_writing_a_large_panel_peaks_below_3_mib(tmp_path, field, write):
+    data = sample_dataset(Params(p=[0.1, 0.25, 0.4, 0.55, 0.7, 0.85], theta=1.0), 20_000, 5, 0)
+    tracemalloc.start()
+    try:
+        write(tmp_path / "panel.csv", getattr(data, field))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def test_read_ratings_rejects_bad_header(tmp_path):
@@ -176,13 +248,15 @@ def read_by_both_parsers(read) -> list:
     return outcomes
 
 
-CELLS = st.one_of(
+DIGIT_CELLS = st.one_of(
     st.integers(0, 12).map(str),
     st.sampled_from(
-        [" 3", "+3", "1_0", "007", "-1", "", '"2"', "x", "99999999999999999999",
-         "9223372036854775807", "9223372036854775808"]
+        ["007", "99999999999999999999", "9223372036854775807", "9223372036854775808",
+         "10000000000000000", "99999999999999999", "100000000000000000",
+         "999999999999999999", "0" * 17 + "1", "0" * 20 + "1"]
     ),
 )
+CELLS = st.one_of(DIGIT_CELLS, st.sampled_from([" 3", "+3", "1_0", "-1", "", '"2"', "x"]))
 
 
 @st.composite
@@ -194,17 +268,36 @@ def panel_files(draw, header: bool) -> tuple[str, int]:
         names = ",".join(f"obj_{j}" for j in range(1, width + 1))
         lines.append(draw(st.sampled_from([names, names, names, " " + names, "#" + names])))
     for _ in range(draw(st.integers(0, 5))):
-        kind = draw(st.sampled_from(["plain"] * 5 + ["spelled", "blank", "commas", "#"]))
+        kind = draw(st.sampled_from(["plain"] * 5 + ["digits", "spelled", "blank", "commas", "#"]))
         if kind == "plain":
             lines.append(",".join(map(str, draw(st.permutations(range(1, width + 1))))))
-        elif kind == "spelled":
+        elif kind in ("digits", "spelled"):
             row_width = draw(st.sampled_from([width, width, width + 1, max(width - 1, 1)]))
-            lines.append(",".join(draw(st.lists(CELLS, min_size=row_width, max_size=row_width))))
+            cells = DIGIT_CELLS if kind == "digits" else CELLS
+            lines.append(",".join(draw(st.lists(cells, min_size=row_width, max_size=row_width))))
         else:
             lines.append({"blank": "", "commas": "," * (width - 1), "#": "# note"}[kind])
     newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
     text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
     return text, width
+
+
+def is_digit_matrix(text: str, header: bool, width: int | None = None) -> bool:
+    """Whether a file is an exact header if ``header`` (it sets ``width``),
+    then blank lines and rows of ``width`` (else the first row's width)
+    cells of 1 to 18 ASCII digits: the files the digit reader takes."""
+    lines = text.split("\n")
+    if header:
+        head, *lines = lines
+        width = head.count(",") + 1
+        if head != ",".join(f"obj_{j}" for j in range(1, width + 1)):
+            return False
+    rows = [line.split(",") for line in lines if line]
+    width = width or (len(rows[0]) if rows else 0)
+    return bool(rows) and all(
+        len(row) == width and all(re.fullmatch("[0-9]{1,18}", cell) for cell in row)
+        for row in rows
+    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -216,9 +309,13 @@ def test_bulk_and_row_parsers_agree(ratings_file, rankings_file):
             handle.write(ratings_file[0])
         with open(rankings, "w", newline="") as handle:
             handle.write(rankings_file[0])
+        taken = mb_io._read_plain(ratings, header=True) is not None
+        assert taken == is_digit_matrix(ratings_file[0], header=True)
         bulk, rows = read_by_both_parsers(lambda: [read_ratings(ratings)])
         assert bulk == rows
         for args in [(), (rankings_file[1],), (rankings_file[1] + 1,)]:
+            taken = mb_io._read_plain(rankings, False, *args) is not None
+            assert taken == is_digit_matrix(rankings_file[0], False, *args)
             bulk, rows = read_by_both_parsers(lambda: [read_rankings(rankings, *args)])
             assert bulk == rows
 
@@ -641,6 +738,26 @@ def test_cli_simulate_failed_rankings_write_changes_neither_file(tmp_path, monke
     assert ratings.read_text() == "earlier ratings\n"
     assert rankings.read_text() == "earlier rankings\n"
     assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize(
+    "message, printed",
+    [("Unable to allocate 763. MiB for an array with shape (100000001,)", None),
+     ("", "MemoryError")],
+)
+def test_cli_fit_reports_running_out_of_memory(tmp_path, monkeypatch, capsys, message, printed):
+    _, ratings, rankings = write_panel(tmp_path)
+
+    def exhausted(max_rating):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(model, "_log_binom_levels", exhausted)
+    out = tmp_path / "fit.json"
+    status = run(["fit", "--ratings", ratings, "--rankings", rankings, "--M", "5",
+                  "--out", str(out)])
+    assert status == 1
+    assert capsys.readouterr().err == f"error: {printed or message}\n"
+    assert not out.exists()
 
 
 def test_cli_fit_names_a_cell_over_the_csv_field_limit(tmp_path, capsys):
