@@ -10,7 +10,9 @@ Both profile maximizers are available in closed form:
   objects share the same judge count and rating scale;
 * concentration: the expected Kendall distance is strictly decreasing in
   ``theta``, so the MLE inverts it at the observed mean distance (clamping to
-  the box when the observed mean lies outside the attainable range).
+  the box when the observed mean lies outside the attainable range).  The
+  root is Brent's method, run in this module with the same iterates as
+  scipy's ``brentq``.
 
 The consensus itself is discrete.  :func:`fit_exhaustive` scores every
 permutation; :func:`fit_best_first` explores prefixes of the consensus with
@@ -68,7 +70,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, isotonic_regression
+from scipy.optimize import isotonic_regression
 
 from .model import (
     DEFAULT_BOUNDS,
@@ -129,8 +131,11 @@ def constrained_p_mle(xbar, max_rating: int, order, bounds: ParamBounds = DEFAUL
 
 def _constrained_p(xbar: np.ndarray, max_rating: int, order: np.ndarray, bounds: ParamBounds):
     """:func:`constrained_p_mle` for a float ``xbar`` and a validated ranking."""
-    means = xbar / max_rating
-    fitted = isotonic_regression(means[order], increasing=True).x
+    fitted = (xbar / max_rating)[order]
+    # pool-adjacent-violators pools ties too (a pooled tie can move by an
+    # ulp), so only strictly increasing means are their own fit
+    if not (fitted[1:] > fitted[:-1]).all():
+        fitted = isotonic_regression(fitted, increasing=True).x
     p = np.empty(xbar.size)
     p[order] = np.clip(fitted, bounds.p_min, bounds.p_max)
     return p
@@ -145,22 +150,61 @@ def theta_mle(
     When ``dbar`` falls outside the range attainable inside the box (for
     example, perfectly unanimous rankings give ``dbar == 0``), the estimate
     clamps to the nearer box edge and the second return value is True.
+    Inside the range the root is Brent's method, run in this module with the
+    same iterates as scipy's ``brentq``, from the box-edge values that the
+    clamp checks computed.
     """
     dbar = float(dbar)
     if not dbar >= 0.0:  # also refuses NaN
         raise ValueError(f"mean distance must be non-negative, got {dbar}")
-    if dbar <= expected_distance(bounds.theta_max, n_objects):
+    nearest = expected_distance(bounds.theta_max, n_objects)
+    if dbar <= nearest:
         return bounds.theta_max, True
-    if dbar >= expected_distance(bounds.theta_min, n_objects):
+    farthest = expected_distance(bounds.theta_min, n_objects)
+    if dbar >= farthest:
         return bounds.theta_min, True
-    theta = brentq(
-        lambda t: expected_distance(t, n_objects) - dbar,
-        bounds.theta_min,
-        bounds.theta_max,
-        xtol=1e-12,
-        rtol=8.9e-16,
-    )
-    return float(theta), False
+    ends = (bounds.theta_min, farthest - dbar, bounds.theta_max, nearest - dbar)
+    return _brent_root(dbar, n_objects, *ends), False
+
+
+# Brent's root finder stops once the bracket is under _XTOL + _RTOL * |theta|
+# wide, or fails after _MAXITER evaluations past the two bracket ends
+_XTOL, _RTOL, _MAXITER = 1e-12, 8.9e-16, 100
+
+
+def _brent_root(dbar, n_objects, xpre, fpre, xcur, fcur) -> float:
+    """Root of ``expected_distance(theta, n_objects) - dbar`` between ``xpre``
+    and ``xcur``, where it takes the values ``fpre`` and ``fcur`` of opposite
+    signs: Brent's (1973) steps in the arithmetic and order of scipy's
+    ``brentq``, so the iterates are ``brentq``'s, bit for bit."""
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        # bisect unless interpolation (secant on two points, inverse
+        # quadratic on three) gives a short enough step
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = expected_distance(xcur, n_objects) - dbar
+    raise RuntimeError(f"Failed to converge after {_MAXITER} iterations, value is {xcur}")
 
 
 @dataclass(frozen=True)
@@ -262,18 +306,32 @@ def _rating_terms(xbar: np.ndarray, max_rating: int, bounds: ParamBounds) -> np.
     isotonic fit uses the min-max formula for equal weights: the fitted
     value at rank ``k`` is the largest over ``i <= k`` of the smallest mean
     of ``y[i..j]`` over ``j >= k``.
+
+    Rows go on the last axis: prefix sums ``(J + 1, rows)``, interval means
+    and their suffix minima ``(J, J, rows)``, so a pass is one long loop over
+    all rows, not one short loop per row.  The arithmetic is the rows-first
+    fit's, elementwise and in the same order, and so are the bits.  ``p`` is
+    made C-contiguous ``(rows, J)`` again before the logs, which numpy may
+    round otherwise on a strided input, and so the row sum adds each row's
+    terms in the rows-first order.
     """
     n = xbar.shape[1]
-    cumulative = np.zeros((xbar.shape[0], n + 1))
-    np.cumsum(xbar / max_rating, axis=1, out=cumulative[:, 1:])
+    cumulative = np.zeros((n + 1, xbar.shape[0]))
+    np.cumsum((xbar / max_rating).T, axis=0, out=cumulative[1:])
     first, last = np.arange(n)[:, None], np.arange(n)[None, :]
-    # interval[b, i, j] = mean of y[i..j]; entries with i > j are never used
-    interval = (cumulative[:, None, 1:] - cumulative[:, :-1, None]) / np.maximum(
+    # interval[i, j, r] = mean of y[i..j] in row r; entries with i > j are never used
+    interval = (cumulative[None, 1:] - cumulative[:-1, None]) / np.maximum(
         last - first + 1, 1
-    )
-    suffix_min = np.minimum.accumulate(interval[:, :, ::-1], axis=2)[:, :, ::-1]
-    suffix_min[:, first > last] = -np.inf
-    p = np.clip(suffix_min.max(axis=1), bounds.p_min, bounds.p_max)
+    )[:, :, None]
+    # suffix minima over j: a pass over every row per j, or, below a few
+    # dozen rows (a best-first node's children), one call that costs less
+    if xbar.shape[0] > 32:
+        for j in range(n - 2, -1, -1):
+            np.minimum(interval[:, j], interval[:, j + 1], out=interval[:, j])
+    else:
+        interval = np.minimum.accumulate(interval[:, ::-1], axis=1)[:, ::-1]
+    interval[first > last] = -np.inf
+    p = np.ascontiguousarray(np.clip(interval.max(axis=0), bounds.p_min, bounds.p_max).T)
     return np.sum(xbar * np.log(p) + (max_rating - xbar) * np.log1p(-p), axis=1)
 
 

@@ -252,6 +252,8 @@ def _integer_matrix(matrix) -> np.ndarray:
         raise ValueError(f"can only write integer matrices, got dtype {matrix.dtype}")
     if matrix.ndim != 2 or 0 in matrix.shape:
         raise ValueError(f"can only write a non-empty 2-D matrix, got shape {matrix.shape}")
+    if matrix.dtype.kind == "u" and matrix.max() > 2**63 - 1:
+        raise ValueError(f"can only write 64-bit integers, got {matrix.max()}")
     return matrix
 
 
@@ -294,4 +296,8 @@ def write_ratings(path, ratings) -> None:
 
 def write_rankings(path, rankings) -> None:
     """Write 0-based integer ranking rows as 1-based labels, no header."""
-    _write_digits(path, _integer_matrix(rankings) + 1)
+    rankings = _integer_matrix(rankings)
+    low, high, n = rankings.min(), rankings.max(), rankings.shape[1]
+    if low < 0 or high >= n:
+        raise ValueError(f"ranking label {low if low < 0 else high} is outside 0..{n - 1}")
+    _write_digits(path, np.add(rankings, 1, dtype=np.int64))

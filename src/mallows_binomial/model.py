@@ -56,13 +56,13 @@ def as_ranking(ranking, n_objects: int | None = None) -> np.ndarray:
     order = np.asarray(ranking)
     if order.ndim != 1 or order.size == 0:
         raise ValueError("ranking must be a non-empty 1-D sequence of object indices")
-    if not np.issubdtype(order.dtype, np.integer):
+    if order.dtype.kind not in "iu":
         raise ValueError(f"ranking must contain integers, got dtype {order.dtype}")
     order = order.astype(np.intp)
     n = order.size
     if n_objects is not None and n != n_objects:
         raise ValueError(f"ranking has {n} entries, expected {n_objects}")
-    if not np.array_equal(np.sort(order), np.arange(n)):
+    if sorted(order.tolist()) != list(range(n)):
         raise ValueError(f"ranking {order.tolist()} is not a permutation of 0..{n - 1}")
     return _freeze(order)
 
@@ -121,6 +121,10 @@ def _check_theta(theta) -> float:
     return theta
 
 
+def _check_objects(n_objects) -> int:
+    return _whole(n_objects, "need an integer count of at least 2 objects", 2)
+
+
 def _check_alpha(alpha) -> float:
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
@@ -148,8 +152,11 @@ def log_psi(theta, n_objects) -> float:
     the center.  Evaluated here in log space with ``expm1`` so that neither
     tiny nor large ``theta`` loses precision.
     """
-    theta = _check_theta(theta)
-    n = _whole(n_objects, "need an integer count of at least 2 objects", 2)
+    return _log_psi(_check_theta(theta), _check_objects(n_objects))
+
+
+def _log_psi(theta: float, n: int) -> float:
+    """:func:`log_psi` for a checked ``theta`` and object count."""
     total = 0.0
     for j in range(1, n + 1):
         total += math.log(-math.expm1(-j * theta))
@@ -175,7 +182,7 @@ def expected_distance(theta, n_objects) -> float:
     concentration MLE inverts this function at the observed mean distance.
     """
     theta = _check_theta(theta)
-    n = _whole(n_objects, "need an integer count of at least 2 objects", 2)
+    n = _check_objects(n_objects)
     if theta * n < _SERIES_CUTOFF:
         j = np.arange(1.0, n + 1.0)
         return float(
@@ -190,7 +197,7 @@ def expected_distance(theta, n_objects) -> float:
 def distance_variance(theta, n_objects) -> float:
     """Variance of the Kendall distance from the center under the kernel."""
     theta = _check_theta(theta)
-    n = _whole(n_objects, "need an integer count of at least 2 objects", 2)
+    n = _check_objects(n_objects)
     if theta * n < _SERIES_CUTOFF:
         j = np.arange(1.0, n + 1.0)
         return float(
@@ -413,7 +420,8 @@ class SufficientStats:
     def _disagreements_with(self, order: np.ndarray) -> int:
         """Judge-pair disagreements with an already validated ranking (an
         exact integer: ``n_judges`` times the mean distance)."""
-        return int(_disagreements(self.pair_counts[None], order[None])[0, 0])
+        ahead, behind = _upper_pairs(self.n_objects)
+        return int(self.pair_counts[order[behind], order[ahead]].sum())
 
 
 def _as_stats(data) -> SufficientStats:
@@ -423,8 +431,8 @@ def _as_stats(data) -> SufficientStats:
 
 def _loglik_from_stats(stats: SufficientStats, p, theta: float, dbar: float) -> float:
     """Joint log-likelihood from the statistics and the mean distance ``dbar``
-    to the consensus."""
-    rank_part = -theta * dbar - log_psi(theta, stats.n_objects)
+    to the consensus, at a checked or clamped ``theta``."""
+    rank_part = -theta * dbar - _log_psi(theta, stats.n_objects)
     rating_part = float(
         stats.xbar @ np.log(p) + (stats.max_rating - stats.xbar) @ np.log1p(-p)
     )
@@ -449,4 +457,6 @@ def log_likelihood(data, params: Params, consensus=None) -> float:
         )
     if consensus is None:
         consensus = order_of(params.p)
-    return _loglik_from_stats(stats, params.p, params.theta, stats.mean_distance(consensus))
+    dbar = stats.mean_distance(consensus)
+    _check_objects(stats.n_objects)  # log_psi's check, which _loglik_from_stats skips
+    return _loglik_from_stats(stats, params.p, params.theta, dbar)

@@ -5,6 +5,12 @@ the package code: pair-by-pair distance counting, exhaustive sums over all J!
 permutations, term-by-term density products, and grid searches.  Slow is
 fine; these run only at small sizes.
 
+Two more references are the package's earlier kernels, kept verbatim so
+that their faster replacements can be held to the same bits:
+:func:`theta_mle_brentq` finds the root through ``scipy.optimize.brentq``,
+and :func:`rating_terms_rows_first` runs the isotonic min-max fit with one
+row per candidate.
+
 The exceptions are the scalar loops:
 :func:`fit_exhaustive_loop` runs one profile per permutation,
 :func:`fit_best_first_loop` bounds one child prefix at a time,
@@ -25,7 +31,7 @@ import math
 
 import numpy as np
 from hypothesis import strategies as st
-from scipy.optimize import isotonic_regression
+from scipy.optimize import brentq, isotonic_regression
 
 from mallows_binomial import (
     DEFAULT_BOUNDS,
@@ -35,6 +41,7 @@ from mallows_binomial import (
     log_psi,
     profile_loglik,
     spawn_rng,
+    expected_distance,
     theta_mle,
 )
 from mallows_binomial.bootstrap import _JudgeTables
@@ -238,6 +245,39 @@ def profile_grid(rankings, ratings, order, max_rating, bounds, stages=3):
         + log_binom_const_direct(ratings, max_rating)
     )
     return p, theta, loglik
+
+
+def theta_mle_brentq(dbar, n_objects, bounds=DEFAULT_BOUNDS) -> tuple[float, bool]:
+    """``theta_mle`` with the root from ``scipy.optimize.brentq``."""
+    dbar = float(dbar)
+    if dbar <= expected_distance(bounds.theta_max, n_objects):
+        return bounds.theta_max, True
+    if dbar >= expected_distance(bounds.theta_min, n_objects):
+        return bounds.theta_min, True
+    theta = brentq(
+        lambda t: expected_distance(t, n_objects) - dbar,
+        bounds.theta_min,
+        bounds.theta_max,
+        xtol=1e-12,
+        rtol=8.9e-16,
+    )
+    return float(theta), False
+
+
+def rating_terms_rows_first(xbar, max_rating, bounds) -> np.ndarray:
+    """``_rating_terms`` with one row per candidate on the first axis: prefix
+    sums ``(rows, J + 1)``, interval means ``(rows, J, J)``."""
+    n = xbar.shape[1]
+    cumulative = np.zeros((xbar.shape[0], n + 1))
+    np.cumsum(xbar / max_rating, axis=1, out=cumulative[:, 1:])
+    first, last = np.arange(n)[:, None], np.arange(n)[None, :]
+    interval = (cumulative[:, None, 1:] - cumulative[:, :-1, None]) / np.maximum(
+        last - first + 1, 1
+    )
+    suffix_min = np.minimum.accumulate(interval[:, :, ::-1], axis=2)[:, :, ::-1]
+    suffix_min[:, first > last] = -np.inf
+    p = np.clip(suffix_min.max(axis=1), bounds.p_min, bounds.p_max)
+    return np.sum(xbar * np.log(p) + (max_rating - xbar) * np.log1p(-p), axis=1)
 
 
 def fit_exhaustive_loop(data, bounds=DEFAULT_BOUNDS):

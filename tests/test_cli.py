@@ -100,9 +100,14 @@ def test_writers_give_csv_writer_bytes(matrix):
         header = [f"obj_{j}" for j in range(1, matrix.shape[1] + 1)]
         with open(path, "rb") as handle:
             assert handle.read() == csv_writer_bytes(matrix.tolist(), header)
-        write_rankings(path, matrix)
+        # rankings hold labels 0..J-1 only; any other matrix is refused
+        labels = matrix % matrix.shape[1]
+        write_rankings(path, labels)
         with open(path, "rb") as handle:
-            assert handle.read() == csv_writer_bytes((matrix + 1).tolist())
+            assert handle.read() == csv_writer_bytes((labels + 1).tolist())
+        if not np.array_equal(labels, matrix):
+            with pytest.raises(ValueError, match="is outside 0.."):
+                write_rankings(path, matrix)
 
 
 @pytest.mark.parametrize("writer", [write_ratings, write_rankings])
@@ -121,6 +126,39 @@ def test_writers_refuse_what_cannot_be_read_back(tmp_path, writer, matrix, named
     with pytest.raises(ValueError, match=named):
         writer(tmp_path / "panel.csv", matrix)
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "matrix, named",
+    [
+        (np.array([[255, 0]], np.uint8), "label 255 is outside 0..1"),
+        (np.array([[2**63 - 1, 0]]), "label 9223372036854775807 is outside 0..1"),
+        (np.array([[0, 1], [-1, 0]], np.int8), "label -1 is outside 0..1"),
+        (np.array([[3, 0, 1]], np.uint64), "label 3 is outside 0..2"),
+    ],
+    ids=["uint8 wrap", "int64 wrap", "negative", "past J"],
+)
+def test_write_rankings_refuses_labels_outside_the_objects(tmp_path, matrix, named):
+    with pytest.raises(ValueError, match=named):
+        write_rankings(tmp_path / "rankings.csv", matrix)
+    assert os.listdir(tmp_path) == []
+
+
+def test_write_rankings_adds_one_in_64_bits(tmp_path):
+    path = tmp_path / "rankings.csv"
+    write_rankings(path, np.array([[1, 0]], np.uint8))
+    assert path.read_text() == "2,1\n"
+    write_rankings(path, np.arange(256, dtype=np.uint8)[None, ::-1])
+    assert read_rankings(path).tolist() == [list(range(255, -1, -1))]
+
+
+def test_write_ratings_refuses_what_read_ratings_refuses(tmp_path):
+    path = tmp_path / "ratings.csv"
+    with pytest.raises(ValueError, match="64-bit integers, got 9223372036854775808"):
+        write_ratings(path, np.array([[2**63, 0]], np.uint64))
+    assert os.listdir(tmp_path) == []
+    write_ratings(path, np.array([[2**63 - 1, 0]], np.uint64))
+    assert read_ratings(path).tolist() == [[2**63 - 1, 0]]
 
 
 @pytest.mark.parametrize("field, write", [("ratings", write_ratings), ("rankings", write_rankings)])
