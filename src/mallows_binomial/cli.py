@@ -20,6 +20,7 @@ Object labels are 1-based in everything the CLI reads or writes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -148,6 +149,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p_cov)
 
     return parser
+
+
+# the parser run() uses, built once per process: parse_args leaves a parser
+# as it found it, and every default above is immutable (a tuple of floats,
+# str, int or float), so no namespace can change what a later run reads
+_parser = functools.cache(build_parser)
 
 
 def _bounds_of(args) -> ParamBounds:
@@ -320,9 +327,8 @@ def _render(payload: dict, fmt: str) -> str:
 
 def run(argv=None) -> int:
     """Parse arguments, run the subcommand, write its document; 0 on success."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exit_status:
         return int(exit_status.code or 0)
     try:

@@ -25,13 +25,13 @@ Both searches apply one rule.  The profile of a candidate is ``I * [R +
 g(D / I)] + const``, where ``R`` is the rating term at the order-constrained
 qualities, ``D`` the integer count of judge-pair disagreements with the
 candidate, and ``g(d) = max_theta [-theta d - log psi(theta)]``.  A bound
-keeps ``R`` exact (isotonic fit by the min-max formula, box clip, Binomial
-term) and reads ``g`` off a cached table by linear interpolation, with no
-``theta`` solve: ``g`` is convex, so the chord between table points bounds
-it from above.  Whatever can still reach the best profile, within a slack,
-gets the scalar profile of :func:`profile_loglik`.  Profiles share a memo
-of :func:`theta_mle` solves keyed on that function's own arguments, ``(D /
-I, J, box)``, so a hit returns what the call would have and no bit changes;
+keeps ``R`` exact (isotonic fit, box clip, Binomial term) and reads ``g``
+off a cached table by linear interpolation, with no ``theta`` solve: ``g``
+is convex, so the chord between table points bounds it from above.
+Whatever can still reach the best profile, within a slack, gets the scalar
+profile of :func:`profile_loglik`.  Profiles share a memo of
+:func:`theta_mle` solves keyed on that function's own arguments, ``(D / I,
+J, box)``, so a hit returns what the call would have and no bit changes;
 the memo lives as long as the outermost fit or bootstrap range that opened
 it.  Every bound is admissible, so every maximiser is profiled, and ties go
 to the lexicographically smallest consensus: the winner, the tie-break and
@@ -46,17 +46,19 @@ a full ranking, as a ``(statistics, J!)`` matrix.  Each statistics profiles
 its highest bound first, then every candidate whose bound reaches that
 profile less the slack, in lexicographic order with a strict ``>``.
 
-The best-first search bounds all children of a prefix in one pass.  The
-screen's kernel scores each child as one full ranking: the prefix, the
-child, then the other free objects by ascending mean rating.  Every
-completion keeps the free objects above the chain, and under that tree order
-the best ``R`` is the isotonic fit along this ranking (Robertson, Wright &
-Dykstra 1988), so ``R`` is exact.  Only ``D`` is relaxed, to its exact
-integer minimum over completions: decided pairs count their disagreements,
-undecided ones the smaller of their two orders.  On every panel measured the
-search expanded and profiled as many candidates as bounding one child at a
-time with exact solves, though the chord's slack could cost a node
-elsewhere.
+The best-first search bounds all children of a prefix at once.  Each child
+is scored along one full ranking: the prefix, the child, then the other free
+objects by ascending mean rating.  Every completion keeps the free objects
+above the chain, and under that tree order the best ``R`` is the isotonic
+fit along this ranking (Robertson, Wright & Dykstra 1988), so ``R`` is
+exact.  Pool-adjacent-violators on Python floats finds it: the prefix is
+pooled once per node, and each child continues that pool, so a node makes
+no numpy pass over its children's rows.  Only ``D`` is relaxed, to its
+exact integer minimum over completions: decided pairs count their
+disagreements, undecided ones the smaller of their two orders.  On every
+panel measured the search expanded and profiled as many candidates as
+bounding one child at a time with exact solves, though the chord's slack
+could cost a node elsewhere.
 """
 
 from __future__ import annotations
@@ -302,18 +304,18 @@ def _stack_block(n_objects: int) -> int:
 def _rating_terms(xbar: np.ndarray, max_rating: int, bounds: ParamBounds) -> np.ndarray:
     """Per-judge rating term at the constrained qualities, for every row of ``xbar``.
 
-    Row ``r`` of ``xbar`` holds mean ratings in candidate order.  The
-    isotonic fit uses the min-max formula for equal weights: the fitted
-    value at rank ``k`` is the largest over ``i <= k`` of the smallest mean
-    of ``y[i..j]`` over ``j >= k``.
+    Row ``r`` of ``xbar`` holds mean ratings in the order of one of the
+    screen's candidates.  The isotonic fit uses the min-max formula for
+    equal weights: the fitted value at rank ``k`` is the largest over
+    ``i <= k`` of the smallest mean of ``y[i..j]`` over ``j >= k``.
 
     Rows go on the last axis: prefix sums ``(J + 1, rows)``, interval means
-    and their suffix minima ``(J, J, rows)``, so a pass is one long loop over
-    all rows, not one short loop per row.  The arithmetic is the rows-first
-    fit's, elementwise and in the same order, and so are the bits.  ``p`` is
-    made C-contiguous ``(rows, J)`` again before the logs, which numpy may
-    round otherwise on a strided input, and so the row sum adds each row's
-    terms in the rows-first order.
+    and their suffix minima ``(J, J, rows)``, taken in place, so a pass is
+    one long loop over all rows, not one short loop per row.  The arithmetic
+    is the rows-first fit's, elementwise and in the same order, and so are
+    the bits.  ``p`` is made C-contiguous ``(rows, J)`` again before the
+    logs, which numpy may round otherwise on a strided input, and so the row
+    sum adds each row's terms in the rows-first order.
     """
     n = xbar.shape[1]
     cumulative = np.zeros((n + 1, xbar.shape[0]))
@@ -323,13 +325,9 @@ def _rating_terms(xbar: np.ndarray, max_rating: int, bounds: ParamBounds) -> np.
     interval = (cumulative[None, 1:] - cumulative[:-1, None]) / np.maximum(
         last - first + 1, 1
     )[:, :, None]
-    # suffix minima over j: a pass over every row per j, or, below a few
-    # dozen rows (a best-first node's children), one call that costs less
-    if xbar.shape[0] > 32:
-        for j in range(n - 2, -1, -1):
-            np.minimum(interval[:, j], interval[:, j + 1], out=interval[:, j])
-    else:
-        interval = np.minimum.accumulate(interval[:, ::-1], axis=1)[:, ::-1]
+    # suffix minima over j, in place: a pass over every row per j
+    for j in range(n - 2, -1, -1):
+        np.minimum(interval[:, j], interval[:, j + 1], out=interval[:, j])
     interval[first > last] = -np.inf
     p = np.ascontiguousarray(np.clip(interval.max(axis=0), bounds.p_min, bounds.p_max).T)
     return np.sum(xbar * np.log(p) + (max_rating - xbar) * np.log1p(-p), axis=1)
@@ -471,6 +469,31 @@ def _concentration_terms(dbar: np.ndarray, n_objects: int, bounds: ParamBounds) 
     return np.interp(dbar, *_ranking_term_table(n_objects, bounds))
 
 
+def _block_term(total: float, size: int, max_rating: int, bounds: ParamBounds) -> float:
+    """Per-judge rating term of one pooled block: ``size`` objects whose mean
+    ratings sum to ``total``, all at the clipped block mean ``q``."""
+    q = total / (size * max_rating)
+    q = bounds.p_min if q < bounds.p_min else bounds.p_max if q > bounds.p_max else q
+    return total * math.log(q) + (size * max_rating - total) * math.log1p(-q)
+
+
+def _pooled_prefix(xbar: list[float], prefix: tuple[int, ...], max_rating: int, bounds):
+    """Pool-adjacent-violators blocks of the mean ratings along ``prefix``:
+    each block's sum of means and size, and ``terms[b]``, the rating term
+    of the blocks before block ``b`` (one entry more than the blocks)."""
+    sums, sizes, terms = [], [], [0.0]
+    for obj in prefix:
+        total, size = xbar[obj], 1
+        while sums and sums[-1] / sizes[-1] > total / size:
+            total += sums.pop()
+            size += sizes.pop()
+            terms.pop()
+        sums.append(total)
+        sizes.append(size)
+        terms.append(terms[-1] + _block_term(total, size, max_rating, bounds))
+    return sums, sizes, terms
+
+
 def _child_bounds(
     stats: SufficientStats,
     prefix: tuple[int, ...],
@@ -485,19 +508,36 @@ def _child_bounds(
     ``free`` must be in ascending order of mean rating.  ``decided`` counts
     the disagreements on the pairs the prefix decides: the pairs within it
     and those between it and the free objects.  The rating term is exact
-    (see the module docstring); the mean distance is lowered to its minimum
-    over completions, and the ranking term there is the chord of
-    :func:`_concentration_terms`, at least the best over the theta box.
-    Both only raise the value, so no completion can beat its child's bound.
+    (see the module docstring): each child continues the prefix's pool with
+    itself, then the other free objects in ascending order.  The mean
+    distance is lowered to its minimum over completions, and the ranking
+    term there is the chord of :func:`_concentration_terms`, at least the
+    best over the theta box.  Both only raise the value, so no completion
+    can beat its child's bound.
     """
-    k, depth = free.size, len(prefix)
-    step = np.arange(k - 1)
-    perms = np.empty((k, stats.n_objects), dtype=np.intp)
-    perms[:, :depth] = prefix
-    perms[:, depth] = free
-    # row i's tail: the free objects other than free[i], still ascending
-    perms[:, depth + 1 :] = free[step + (step >= np.arange(k)[:, None])]
-    rating = _rating_terms(stats.xbar[perms], stats.max_rating, bounds)
+    k, max_rating = free.size, stats.max_rating
+    xbar = stats.xbar.tolist()
+    sums, sizes, terms = _pooled_prefix(xbar, prefix, max_rating, bounds)
+    values = [xbar[obj] for obj in free.tolist()]
+    alone = [_block_term(value, 1, max_rating, bounds) for value in values]
+    # suffix[f]: the terms of values[f:], each object a block of its own
+    suffix = list(itertools.accumulate(reversed(alone), initial=0.0))[::-1]
+    rating = []
+    for child in range(k):
+        total, size, kept, singles = 0.0, 0, len(sums), 0.0
+        for nxt in itertools.chain((child,), range(child), range(child + 1, k)):
+            if size and values[nxt] >= total / size:
+                # this object stands alone, and so does every later (larger) one
+                singles = suffix[nxt] - (alone[child] if child > nxt else 0.0)
+                break
+            total += values[nxt]
+            size += 1
+            # the last block pulls in earlier prefix blocks above its mean
+            while kept and sums[kept - 1] / sizes[kept - 1] > total / size:
+                kept -= 1
+                total += sums[kept]
+                size += sizes[kept]
+        rating.append(terms[kept] + _block_term(total, size, max_rating, bounds) + singles)
     # ranking term (exact integers): each child also decides its pairs with
     # the other free objects; the pairs it leaves undecided count the
     # smaller order
@@ -506,7 +546,7 @@ def _child_bounds(
     smaller = np.minimum(sub, sub.T).sum(axis=1)
     disagreements = child_decided + smaller.sum() // 2 - smaller
     ranking = _concentration_terms(disagreements / stats.n_judges, stats.n_objects, bounds)
-    return stats.n_judges * (ranking + rating) + stats.log_binom_const, child_decided
+    return stats.n_judges * (ranking + np.array(rating)) + stats.log_binom_const, child_decided
 
 
 def fit_best_first(data, bounds: ParamBounds = DEFAULT_BOUNDS) -> FitResult:
@@ -515,9 +555,10 @@ def fit_best_first(data, bounds: ParamBounds = DEFAULT_BOUNDS) -> FitResult:
     Maintains a queue of consensus prefixes ordered by an upper bound on the
     log-likelihood of any completion, expands the most promising prefix, and
     profiles full rankings as they appear, sharing the memo of concentration
-    solves (see :func:`_fit_stack`).  Expanding a prefix bounds all of its
-    children in one batch, exact in the rating term and relaxed in the mean
-    distance (:func:`_child_bounds`); a prefix with two free objects left
+    solves (see :func:`_fit_stack`).  Expanding a prefix pools its mean
+    ratings once and bounds all of its children from that pool, exact in
+    the rating term and relaxed in the mean distance
+    (:func:`_child_bounds`); a prefix with two free objects left
     profiles both completions instead.  Pruning keeps a small slack under the
     incumbent so floating-point noise in the bound can never discard an
     optimal branch, and exact ties go to the lexicographically smallest

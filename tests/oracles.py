@@ -5,11 +5,13 @@ the package code: pair-by-pair distance counting, exhaustive sums over all J!
 permutations, term-by-term density products, and grid searches.  Slow is
 fine; these run only at small sizes.
 
-Two more references are the package's earlier kernels, kept verbatim so
-that their faster replacements can be held to the same bits:
-:func:`theta_mle_brentq` finds the root through ``scipy.optimize.brentq``,
-and :func:`rating_terms_rows_first` runs the isotonic min-max fit with one
-row per candidate.
+Three more references are the package's earlier kernels, kept verbatim so
+that their faster replacements can be held to the same bits, or for the
+best-first bound to rounding: :func:`theta_mle_brentq` finds the root
+through ``scipy.optimize.brentq``, :func:`rating_terms_rows_first` runs the
+isotonic min-max fit with one row per candidate, and
+:func:`child_bounds_rows_first` bounds a best-first node's children through
+it, one full-width row per child.
 
 The exceptions are the scalar loops:
 :func:`fit_exhaustive_loop` runs one profile per permutation,
@@ -45,7 +47,7 @@ from mallows_binomial import (
     theta_mle,
 )
 from mallows_binomial.bootstrap import _JudgeTables
-from mallows_binomial.estimation import _PRUNE_SLACK
+from mallows_binomial.estimation import _PRUNE_SLACK, _concentration_terms
 
 
 def kendall_naive(a, b) -> int:
@@ -278,6 +280,25 @@ def rating_terms_rows_first(xbar, max_rating, bounds) -> np.ndarray:
     suffix_min[:, first > last] = -np.inf
     p = np.clip(suffix_min.max(axis=1), bounds.p_min, bounds.p_max)
     return np.sum(xbar * np.log(p) + (max_rating - xbar) * np.log1p(-p), axis=1)
+
+
+def child_bounds_rows_first(stats, prefix, free, bounds, decided):
+    """``_child_bounds`` with the rating term of each child from its full
+    row: the prefix, the child, then the other free objects, ascending."""
+    k, depth = free.size, len(prefix)
+    step = np.arange(k - 1)
+    perms = np.empty((k, stats.n_objects), dtype=np.intp)
+    perms[:, :depth] = prefix
+    perms[:, depth] = free
+    # row i's tail: the free objects other than free[i], still ascending
+    perms[:, depth + 1 :] = free[step + (step >= np.arange(k)[:, None])]
+    rating = rating_terms_rows_first(stats.xbar[perms], stats.max_rating, bounds)
+    sub = stats.pair_counts[np.ix_(free, free)]
+    child_decided = decided + sub.sum(axis=0)
+    smaller = np.minimum(sub, sub.T).sum(axis=1)
+    disagreements = child_decided + smaller.sum() // 2 - smaller
+    ranking = _concentration_terms(disagreements / stats.n_judges, stats.n_objects, bounds)
+    return stats.n_judges * (ranking + rating) + stats.log_binom_const, child_decided
 
 
 def fit_exhaustive_loop(data, bounds=DEFAULT_BOUNDS):

@@ -1,6 +1,7 @@
 """The batched best-first search against the scalar search it replaces.
 
-``fit_best_first`` bounds all children of a prefix in one numpy pass, with
+``fit_best_first`` bounds all children of a prefix at once: the rating term
+by pool-adjacent-violators, continued from the prefix's pooled blocks, and
 the ranking term read off a tabulated chord.  The search that bounds one
 child at a time with exact ``theta`` solves (``oracles.fit_best_first_loop``)
 is the reference: consensus, loglik, qualities, concentration and clamp flag
@@ -35,10 +36,12 @@ from mallows_binomial.estimation import (
     _child_bounds,
     _concentration_terms,
     _distance_moments,
+    _pooled_prefix,
     _ranking_term_table,
 )
+from scipy.optimize import isotonic_regression
 
-from .oracles import fit_best_first_loop, small_panels
+from .oracles import child_bounds_rows_first, fit_best_first_loop, small_panels
 from .test_exhaustive_screen import degenerate_panels, seeded_panel
 
 
@@ -204,6 +207,62 @@ def test_child_bounds_are_exact_when_disagreements_tie(data):
                 rest = tuple(o for o in free.tolist() if o != child)
                 best = best_completion(stats, prefix + (child,), rest)
                 assert abs(bound - best) <= 1e-12 * abs(best), (prefix, child, bound, best)
+
+
+# ---------------------------------------------------------------------------
+# the pooled rating term against the full-row bound
+
+
+@st.composite
+def bound_nodes(draw):
+    """Statistics, a box and a prefix in random order: J = 3..20, depth
+    0..J-3, in the degenerate shapes too (tied means, one judge, M = 1, and
+    ratings all 0 or all M, which clip at both box edges)."""
+    n = draw(st.integers(3, 20))
+    shape = draw(st.sampled_from(["any", "tied", "one judge", "M = 1", "all 0", "all M"]))
+    n_judges = 1 if shape == "one judge" else draw(st.integers(2, 40))
+    max_rating = 1 if shape == "M = 1" else draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ratings = rng.integers(0, max_rating + 1, size=(n_judges, n))
+    if shape == "tied":
+        ratings = ratings[:, rng.integers(0, 3, n)]
+    if shape in ("all 0", "all M"):
+        ratings[:] = 0 if shape == "all 0" else max_rating
+    rankings = np.array([rng.permutation(n) for _ in range(n_judges)])
+    stats = SufficientStats.from_dataset(
+        Dataset(ratings=ratings, rankings=rankings, max_rating=max_rating)
+    )
+    box = draw(st.sampled_from([DEFAULT_BOUNDS, ParamBounds(p_min=0.2, p_max=0.7)]))
+    prefix = tuple(rng.permutation(n)[: draw(st.integers(0, n - 3))].tolist())
+    return stats, box, prefix
+
+
+@settings(max_examples=300, deadline=None)
+@given(node=bound_nodes())
+def test_child_bounds_match_the_full_row_bound(node):
+    stats, box, prefix = node
+    free = ascending_free(stats, prefix)
+    decided = decided_count(stats, prefix)
+    got, got_decided = _child_bounds(stats, prefix, free, box, decided)
+    want, want_decided = child_bounds_rows_first(stats, prefix, free, box, decided)
+    assert got_decided.tolist() == want_decided.tolist()
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(node=bound_nodes())
+def test_prefix_blocks_are_the_isotonic_fit(node):
+    stats, box, prefix = node
+    m = stats.max_rating
+    sums, sizes, terms = _pooled_prefix(stats.xbar.tolist(), prefix, m, box)
+    assert sum(sizes) == len(prefix) and len(terms) == len(sums) + 1
+    means = np.repeat(np.array(sums) / (np.array(sizes) * m), sizes)
+    fitted = isotonic_regression(stats.xbar[list(prefix)] / m, increasing=True).x
+    np.testing.assert_allclose(means, fitted, rtol=1e-13, atol=0)
+    p = np.clip(fitted, box.p_min, box.p_max)
+    xbar = stats.xbar[list(prefix)]
+    rating = float(xbar @ np.log(p) + (m - xbar) @ np.log1p(-p))
+    assert abs(terms[-1] - rating) <= 1e-12 * (1.0 + abs(rating))
 
 
 # ---------------------------------------------------------------------------

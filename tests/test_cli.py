@@ -469,6 +469,51 @@ def test_cli_csv_format(tmp_path, capsys):
     assert any(line.startswith("theta,") for line in lines)
 
 
+def parser_actions(parser):
+    """Every action of ``parser`` and of its subcommands' parsers."""
+    for action in parser._actions:
+        yield action
+        if action.dest == "subcommand":
+            for sub in action.choices.values():
+                yield from parser_actions(sub)
+
+
+def test_every_parser_default_is_immutable():
+    # run() parses with one parser per process, so no parse may leave a
+    # default that a later one could see changed
+    actions = list(parser_actions(cli.build_parser()))
+    defaults = [action.default for action in actions if action.dest != "help"]
+    assert (DEFAULT_BOUNDS.p_min, DEFAULT_BOUNDS.p_max) in defaults
+    for default in defaults:
+        assert default is None or type(default) in (str, int, float, tuple), default
+        if type(default) is tuple:
+            assert all(type(part) is float for part in default), default
+
+
+def test_cli_parser_is_built_once_and_gives_fresh_parsers_documents(tmp_path, monkeypatch, capsys):
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    ratings, rankings = str(tmp_path / "r.csv"), str(tmp_path / "k.csv")
+    runs = [
+        ["fit", "--ratings", ratings, "--rankings", rankings, "--M", "5", "--p-bounds", "x"],
+        ["simulate", "--p", "0.2,0.5,0.8", "--theta", "1.5", "--judges", "30", "--M", "5",
+         "--seed", "4", "--ratings", ratings, "--rankings", rankings,
+         "--out", str(tmp_path / "simulate.json")],
+        ["fit", "--ratings", ratings, "--rankings", rankings, "--M", "5",
+         "--out", str(tmp_path / "fit.json")],
+    ]
+
+    def documents() -> list:
+        statuses = [run(argv) for argv in runs]
+        assert statuses == [2, 0, 0]
+        assert "--p-bounds expects two comma-separated numbers" in capsys.readouterr().err
+        return [(tmp_path / name).read_bytes() for name in ("simulate.json", "fit.json")]
+
+    cached = documents()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert documents() == cached
+
+
 def test_cli_lan_check_and_coverage_smoke(capsys):
     status = run(
         ["lan-check", "--p", "0.2,0.5,0.8", "--theta", "1.5", "--judges", "50",
