@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import isotonic_regression
 
 from mallows_binomial import (
     DEFAULT_BOUNDS,
@@ -39,7 +40,6 @@ from mallows_binomial.estimation import (
     _pooled_prefix,
     _ranking_term_table,
 )
-from scipy.optimize import isotonic_regression
 
 from .oracles import child_bounds_rows_first, fit_best_first_loop, small_panels
 from .test_exhaustive_screen import degenerate_panels, seeded_panel
@@ -253,14 +253,13 @@ def test_child_bounds_match_the_full_row_bound(node):
 @given(node=bound_nodes())
 def test_prefix_blocks_are_the_isotonic_fit(node):
     stats, box, prefix = node
-    m = stats.max_rating
+    m, xbar = stats.max_rating, stats.xbar[list(prefix)]
     sums, sizes, terms = _pooled_prefix(stats.xbar.tolist(), prefix, m, box)
     assert sum(sizes) == len(prefix) and len(terms) == len(sums) + 1
     means = np.repeat(np.array(sums) / (np.array(sizes) * m), sizes)
-    fitted = isotonic_regression(stats.xbar[list(prefix)] / m, increasing=True).x
+    fitted = isotonic_regression(xbar / m, increasing=True).x
     np.testing.assert_allclose(means, fitted, rtol=1e-13, atol=0)
     p = np.clip(fitted, box.p_min, box.p_max)
-    xbar = stats.xbar[list(prefix)]
     rating = float(xbar @ np.log(p) + (m - xbar) @ np.log1p(-p))
     assert abs(terms[-1] - rating) <= 1e-12 * (1.0 + abs(rating))
 
