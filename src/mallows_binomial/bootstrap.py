@@ -7,11 +7,12 @@ replicates yields percentile confidence intervals.
 
 A replicate is determined by how often it draws each judge (its resampling
 vector, Efron 1982).  The multiplicities of a block of replicates form a
-matrix ``W`` (replicates x judges), and ``W`` times per-judge tables built
-once per call (rating sums, pair indicators and rating-level counts) gives
-every replicate's sufficient statistics.  Every sum is an exact integer, so
-the statistics are bit for bit those of the resampled dataset, without
-building it.
+matrix ``W`` (replicates x judges), and ``W`` times a float64 table of
+per-judge rows built once per call (ratings, pair indicators and
+rating-level counts) gives every replicate's sufficient statistics in one
+BLAS product.  Every sum is an integer below 2**53, so float64 holds it
+exactly in any summation order, and the statistics are bit for bit those of
+the resampled dataset, without building it.
 
 Replicates are refitted a block at a time by the estimator's stacked fit.
 The refits of one range share a memo of concentration solves, keyed on the
@@ -73,9 +74,14 @@ def percentile_interval(values, alpha: float) -> tuple[float, float]:
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("need a non-empty 1-D sample of values")
-    alpha = _check_alpha(alpha)
-    lo, hi = np.quantile(values, [alpha / 2.0, 1.0 - alpha / 2.0], method="hazen")
+    lo, hi = _percentile_bounds(values, _check_alpha(alpha))
     return float(lo), float(hi)
+
+
+def _percentile_bounds(samples: np.ndarray, alpha: float) -> np.ndarray:
+    """The low and high ends of :func:`percentile_interval` for every column
+    of ``samples`` at once, as two rows; each column's are that call's bits."""
+    return np.quantile(samples, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0, method="hazen")
 
 
 @dataclass(frozen=True)
@@ -107,14 +113,16 @@ class BootstrapResult:
 class _JudgeTables:
     """Per-judge rows whose multiplicity-weighted sums are replicate statistics.
 
-    ``ratings`` is ``I x J``; row ``i`` of ``pairs`` flattens the ``J x J``
-    indicator of judge ``i`` ranking ``u`` before ``v``; row ``i`` of
-    ``levels`` counts judge ``i``'s ratings at each level ``0..M``.
+    Row ``i`` of ``table`` holds judge ``i``'s ``J`` ratings, then the
+    flattened ``J x J`` indicator of ranking ``u`` before ``v``, then the
+    count of its ratings at each level ``0..M``.  The table is float64, so
+    a block's sums are one BLAS product, and they are exact: every sum is an
+    integer below ``I * max(M, J)``, far under 2**53 wherever the ``I x (M
+    + 1)`` level counts fit in memory.
     """
 
-    ratings: np.ndarray
-    pairs: np.ndarray
-    levels: np.ndarray
+    table: np.ndarray
+    n_objects: int
     log_binom: np.ndarray
     max_rating: int
 
@@ -122,13 +130,16 @@ class _JudgeTables:
     def from_dataset(cls, data: Dataset) -> "_JudgeTables":
         n_judges, n = data.ratings.shape
         levels = data.max_rating + 1
+        table = np.empty((n_judges, n + n * n + levels))
+        table[:, :n] = data.ratings
+        table[:, n : n + n * n] = _pair_indicators(data.rankings).reshape(n_judges, n * n)
         level_index = np.arange(n_judges)[:, None] * levels + data.ratings
+        table[:, n + n * n :] = np.bincount(
+            level_index.ravel(), minlength=n_judges * levels
+        ).reshape(n_judges, levels)
         return cls(
-            ratings=data.ratings,
-            pairs=_pair_indicators(data.rankings).reshape(n_judges, n * n).astype(np.int64),
-            levels=np.bincount(level_index.ravel(), minlength=n_judges * levels).reshape(
-                n_judges, levels
-            ),
+            table=table,
+            n_objects=n,
             log_binom=_log_binom_levels(data.max_rating),
             max_rating=data.max_rating,
         )
@@ -136,24 +147,23 @@ class _JudgeTables:
     def replicates(self, seed, start: int, stop: int) -> list[SufficientStats]:
         """Statistics of replicates ``start..stop-1``: the draws ``resample``
         makes from ``(seed, b)``."""
-        n_judges, n = self.ratings.shape
-        weights = np.stack(
-            [
-                np.bincount(_draw_judges(n_judges, rng), minlength=n_judges)
-                for rng in _streams(seed, range(start, stop))
-            ]
-        )
-        rating_sums = weights @ self.ratings
-        pair_counts = weights @ self.pairs
-        level_counts = weights @ self.levels
+        n_judges, n = self.table.shape[0], self.n_objects
+        weights = np.empty((stop - start, n_judges))
+        for row, rng in enumerate(_streams(seed, range(start, stop))):
+            weights[row] = np.bincount(_draw_judges(n_judges, rng), minlength=n_judges)
+        sums = weights @ self.table
+        xbar = _freeze(sums[:, :n] / n_judges)
+        pair_counts = _freeze(sums[:, n : n + n * n].astype(np.int64).reshape(-1, n, n))
+        # one (1, M + 1) @ (M + 1, 1) product per replicate: each is the 1-D
+        # dot of SufficientStats.from_dataset, bit for bit
+        constants = (sums[:, None, n + n * n :] @ self.log_binom[:, None]).ravel().tolist()
         return [
             SufficientStats(
-                xbar=_freeze(rating_sums[row] / n_judges),
-                pair_counts=_freeze(pair_counts[row].reshape(n, n)),
+                xbar=xbar[row],
+                pair_counts=pair_counts[row],
                 n_judges=n_judges,
                 max_rating=self.max_rating,
-                # row by row: a matrix-vector product may round differently
-                log_binom_const=float(level_counts[row] @ self.log_binom),
+                log_binom_const=constants[row],
             )
             for row in range(stop - start)
         ]
@@ -170,7 +180,7 @@ def _fit_replicates(job) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     stacked qualities, concentrations, consensus rankings and clamp flags.
     """
     tables, seed, bounds, start, stop = job
-    size = _stack_block(tables.ratings.shape[1])
+    size = _stack_block(tables.n_objects)
     fits = []
     with _sharing_solves():
         for lo in range(start, stop, size):
@@ -225,9 +235,7 @@ def bootstrap_fit(
     p_samples, theta_samples, consensus_samples, clamped = _fan_out(
         _fit_replicates, n_replicates, workers, _JudgeTables.from_dataset(data), seed, bounds
     )
-    p_intervals = np.array(
-        [percentile_interval(p_samples[:, j], alpha) for j in range(data.n_objects)]
-    )
+    p_intervals = _percentile_bounds(p_samples, alpha).T
     agreement = float(np.mean(np.all(consensus_samples == point.consensus, axis=1)))
     return BootstrapResult(
         point=point,

@@ -81,7 +81,9 @@ from .model import (
     SufficientStats,
     _SERIES_CUTOFF,
     _as_stats,
+    _check_objects,
     _disagreements,
+    _expected_distance,
     _loglik_from_stats,
     as_ranking,
     expected_distance,
@@ -139,7 +141,8 @@ def _constrained_p(xbar: np.ndarray, max_rating: int, order: np.ndarray, bounds:
     if not (fitted[1:] > fitted[:-1]).all():
         fitted = isotonic_regression(fitted, increasing=True).x
     p = np.empty(xbar.size)
-    p[order] = np.clip(fitted, bounds.p_min, bounds.p_max)
+    # np.clip's values, for about half its call overhead
+    p[order] = np.minimum(np.maximum(fitted, bounds.p_min), bounds.p_max)
     return p
 
 
@@ -154,19 +157,31 @@ def theta_mle(
     clamps to the nearer box edge and the second return value is True.
     Inside the range the root is Brent's method, run in this module with the
     same iterates as scipy's ``brentq``, from the box-edge values that the
-    clamp checks computed.
+    clamp checks read (:func:`_box_edge_distances`).
     """
     dbar = float(dbar)
     if not dbar >= 0.0:  # also refuses NaN
         raise ValueError(f"mean distance must be non-negative, got {dbar}")
-    nearest = expected_distance(bounds.theta_max, n_objects)
+    n = _check_objects(n_objects)
+    nearest, farthest = _box_edge_distances(n, bounds)
     if dbar <= nearest:
         return bounds.theta_max, True
-    farthest = expected_distance(bounds.theta_min, n_objects)
     if dbar >= farthest:
         return bounds.theta_min, True
     ends = (bounds.theta_min, farthest - dbar, bounds.theta_max, nearest - dbar)
-    return _brent_root(dbar, n_objects, *ends), False
+    return _brent_root(dbar, n, *ends), False
+
+
+@functools.lru_cache(maxsize=64)
+def _box_edge_distances(n_objects: int, bounds: ParamBounds) -> tuple[float, float]:
+    """``expected_distance`` at ``theta_max`` and at ``theta_min``, computed
+    once per object count and box.  They go through the unchecked
+    ``_expected_distance``, so only Brent's iterates are calls of the
+    public ``expected_distance``, cached edges or not."""
+    return (
+        _expected_distance(float(bounds.theta_max), n_objects),
+        _expected_distance(float(bounds.theta_min), n_objects),
+    )
 
 
 # Brent's root finder stops once the bracket is under _XTOL + _RTOL * |theta|
@@ -541,7 +556,7 @@ def _child_bounds(
     # ranking term (exact integers): each child also decides its pairs with
     # the other free objects; the pairs it leaves undecided count the
     # smaller order
-    sub = stats.pair_counts[np.ix_(free, free)]
+    sub = stats.pair_counts[free[:, None], free]
     child_decided = decided + sub.sum(axis=0)
     smaller = np.minimum(sub, sub.T).sum(axis=1)
     disagreements = child_decided + smaller.sum() // 2 - smaller

@@ -295,9 +295,28 @@ def write_ratings(path, ratings) -> None:
 
 
 def write_rankings(path, rankings) -> None:
-    """Write 0-based integer ranking rows as 1-based labels, no header."""
+    """Write 0-based integer ranking rows as 1-based labels, no header.
+
+    Every row must be a permutation of ``0..J-1``, as :func:`read_rankings`
+    requires of what it reads back.
+    """
     rankings = _integer_matrix(rankings)
     low, high, n = rankings.min(), rankings.max(), rankings.shape[1]
     if low < 0 or high >= n:
         raise ValueError(f"ranking label {low if low < 0 else high} is outside 0..{n - 1}")
+    _refuse_repeated_labels(rankings)
     _write_digits(path, np.add(rankings, 1, dtype=np.int64))
+
+
+def _refuse_repeated_labels(rankings: np.ndarray) -> None:
+    """Refuse the first row of ``rankings``, labels in ``0..J-1``, that
+    repeats a label.  One count per (row, label) slot finds it, without a
+    sort; the counts are freed before the file is built."""
+    n = rankings.shape[1]
+    slots = np.arange(0, rankings.size, n)[:, None] + rankings.astype(np.int64, copy=False)
+    counts = np.bincount(slots.ravel())
+    if counts.max() > 1:
+        row = int(np.argmax(counts > 1)) // n
+        raise ValueError(
+            f"ranking row {row} is not a permutation of 0..{n - 1}: {rankings[row].tolist()}"
+        )

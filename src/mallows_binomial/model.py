@@ -181,8 +181,11 @@ def expected_distance(theta, n_objects) -> float:
     ``n(n-1)/4`` (uniform limit) down to 0, which makes it invertible; the
     concentration MLE inverts this function at the observed mean distance.
     """
-    theta = _check_theta(theta)
-    n = _check_objects(n_objects)
+    return _expected_distance(_check_theta(theta), _check_objects(n_objects))
+
+
+def _expected_distance(theta: float, n: int) -> float:
+    """:func:`expected_distance` for a checked ``theta`` and object count."""
     if theta * n < _SERIES_CUTOFF:
         j = np.arange(1.0, n + 1.0)
         return float(

@@ -4,12 +4,15 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mallows_binomial import Dataset, Params, SufficientStats, sample_dataset, spawn_rng
-from mallows_binomial import bootstrap
+from mallows_binomial import bootstrap, estimation
 from mallows_binomial.bootstrap import (
     _fan_out,
     _JudgeTables,
+    _percentile_bounds,
     bootstrap_fit,
     percentile_interval,
     resample,
@@ -56,6 +59,26 @@ def test_percentile_interval_validation():
         percentile_interval([1.0, 2.0], 1.0)
     with pytest.raises(ValueError, match="non-empty"):
         percentile_interval([], 0.1)
+
+
+@st.composite
+def replicate_samples(draw) -> np.ndarray:
+    """``(B, J)`` samples: uniform on [0, 1], or drawn from 1, 2 or 5 values,
+    so ties and constant columns are common."""
+    shape = draw(st.integers(1, 1200)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([None, 1, 2, 5]))
+    return rng.random(shape) if levels is None else rng.choice(rng.random(levels), shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(replicate_samples(), st.floats(0.01, 0.5))
+def test_p_intervals_are_the_per_column_intervals(samples, alpha):
+    # bootstrap_fit's p_intervals: one quantile call over every column
+    got = _percentile_bounds(samples, alpha).T
+    want = np.array([percentile_interval(column, alpha) for column in samples.T])
+    assert got.shape == want.shape
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +155,35 @@ def test_replicate_stats_equal_resampled_dataset_stats():
                 assert got.log_binom_const == want.log_binom_const
                 assert not got.xbar.flags.writeable
                 assert not got.pair_counts.flags.writeable
+
+
+def _assert_same_bits(got: SufficientStats, want: SufficientStats):
+    assert got.xbar.dtype == want.xbar.dtype == np.float64
+    assert got.xbar.view(np.int64).tolist() == want.xbar.view(np.int64).tolist()
+    assert got.pair_counts.dtype == want.pair_counts.dtype == np.int64
+    assert got.pair_counts.tolist() == want.pair_counts.tolist()
+    assert type(got.log_binom_const) is type(want.log_binom_const) is float
+    assert got.log_binom_const.hex() == want.log_binom_const.hex()
+    assert (got.n_judges, got.max_rating) == (want.n_judges, want.max_rating)
+    assert not got.xbar.flags.writeable and not got.pair_counts.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "n_judges, n_objects, max_rating", [(200, 4, 5), (20_000, 6, 20)], ids=["J4", "J6 I20000"]
+)
+def test_a_full_replicate_block_gives_the_resampled_bits(n_judges, n_objects, max_rating):
+    # one block as the bootstrap builds it: 210 replicates at J = 4, 7 at J = 6
+    rng = np.random.default_rng(n_objects)
+    data = Dataset(
+        ratings=rng.integers(0, max_rating + 1, size=(n_judges, n_objects)),
+        rankings=rng.permuted(np.tile(np.arange(n_objects), (n_judges, 1)), axis=1),
+        max_rating=max_rating,
+    )
+    size = estimation._stack_block(n_objects)
+    block = _JudgeTables.from_dataset(data).replicates(71, 5, 5 + size)
+    assert len(block) == size
+    for b, got in enumerate(block, start=5):
+        _assert_same_bits(got, SufficientStats.from_dataset(resample(data, spawn_rng(71, b))))
 
 
 # ---------------------------------------------------------------------------

@@ -100,14 +100,15 @@ def test_writers_give_csv_writer_bytes(matrix):
         header = [f"obj_{j}" for j in range(1, matrix.shape[1] + 1)]
         with open(path, "rb") as handle:
             assert handle.read() == csv_writer_bytes(matrix.tolist(), header)
-        # rankings hold labels 0..J-1 only; any other matrix is refused
-        labels = matrix % matrix.shape[1]
-        write_rankings(path, labels)
+        # rankings hold each label 0..J-1 once per row; any other matrix is refused
+        ranks = np.argsort(matrix, axis=1, kind="stable").astype(matrix.dtype)
+        write_rankings(path, ranks)
         with open(path, "rb") as handle:
-            assert handle.read() == csv_writer_bytes((labels + 1).tolist())
-        if not np.array_equal(labels, matrix):
-            with pytest.raises(ValueError, match="is outside 0.."):
-                write_rankings(path, matrix)
+            assert handle.read() == csv_writer_bytes((ranks + 1).tolist())
+        for labels in (matrix, matrix % matrix.shape[1]):
+            if (np.sort(labels, axis=1) != np.arange(matrix.shape[1])).any():
+                with pytest.raises(ValueError, match="is outside 0..|is not a permutation"):
+                    write_rankings(path, labels)
 
 
 @pytest.mark.parametrize("writer", [write_ratings, write_rankings])
@@ -150,6 +151,16 @@ def test_write_rankings_adds_one_in_64_bits(tmp_path):
     assert path.read_text() == "2,1\n"
     write_rankings(path, np.arange(256, dtype=np.uint8)[None, ::-1])
     assert read_rankings(path).tolist() == [list(range(255, -1, -1))]
+
+
+@pytest.mark.parametrize("dtype", [None, np.uint8, np.uint64])
+def test_write_rankings_refuses_a_row_that_repeats_a_label(tmp_path, dtype):
+    path = tmp_path / "rankings.csv"
+    with pytest.raises(ValueError, match=r"ranking row 0 is not a .* 0..1: \[0, 0\]"):
+        write_rankings(path, np.array([[0, 0], [1, 0]], dtype))
+    with pytest.raises(ValueError, match=r"ranking row 2 is not a .* 0..2: \[2, 1, 1\]"):
+        write_rankings(path, np.array([[0, 1, 2], [2, 1, 0], [2, 1, 1], [1, 1, 1]], dtype))
+    assert os.listdir(tmp_path) == []
 
 
 def test_write_ratings_refuses_what_read_ratings_refuses(tmp_path):

@@ -77,14 +77,20 @@ def _counting(monkeypatch, module) -> list:
 
 @pytest.mark.parametrize("dbar, clamped", [(0.0, True), (2.5, False), (6.0, True)])
 def test_theta_mle_reuses_the_clamp_checks_as_the_bracket_ends(monkeypatch, dbar, clamped):
-    # the solve evaluates through the module's expected_distance, which
-    # bench/tracing.py counts, and the clamp checks' values open the bracket
+    # the box edges' distances, cached per object count and box, are the
+    # clamp checks and the bracket ends; only Brent's iterates go through
+    # the module's expected_distance, which bench/tracing.py counts, with
+    # the edge cache cold or warm
     ours = _counting(monkeypatch, estimation)
     theirs = _counting(monkeypatch, oracles)
-    assert theta_mle(dbar, 4)[1] is clamped
     theta_mle_brentq(dbar, 4)
-    assert len(ours) == len(theirs) - (0 if clamped else 2)
-    assert ours[:2] == theirs[:2] and ours[2:] == theirs[4:]
+    estimation._box_edge_distances.cache_clear()
+    for _ in ("cold", "warm"):
+        ours.clear()
+        assert theta_mle(dbar, 4)[1] is clamped
+        # brentq's iterates past its two ends, which the oracle computes
+        # after the two clamp checks
+        assert ours == ([] if clamped else theirs[4:])
 
 
 def test_theta_mle_fails_like_brentq_when_its_iterations_run_out(monkeypatch):
