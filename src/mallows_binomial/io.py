@@ -29,7 +29,7 @@ import os
 
 import numpy as np
 
-from .model import Dataset, _whole
+from .model import Dataset, _checked_dataset, _first_non_permutation, _first_outside, _whole
 
 __all__ = [
     "read_ratings",
@@ -174,15 +174,15 @@ def read_rankings(path, n_objects: int | None = None) -> np.ndarray:
         lines, rows = _read_rows(path)
         width = n_objects if n_objects is not None else len(rows[0])
         parsed = _parse_int_rows(path, lines, rows, width)
-    width = parsed.shape[1]
-    bad = np.flatnonzero(np.any(np.sort(parsed, axis=1) != np.arange(1, width + 1), axis=1))
-    if bad.size:
+    rankings = parsed - 1
+    bad = _first_non_permutation(rankings)
+    if bad is not None:
         # a plain file's rows are the row parser's rows: read it again for the line
         raise ValueError(
-            f"{path}, line {_read_rows(path)[0][bad[0]]}: ranking {parsed[bad[0]].tolist()} "
-            f"must use each label 1..{width} exactly once"
+            f"{path}, line {_read_rows(path)[0][bad]}: ranking {parsed[bad].tolist()} "
+            f"must use each label 1..{parsed.shape[1]} exactly once"
         )
-    return parsed - 1
+    return rankings
 
 
 def read_dataset(ratings_path, rankings_path, max_rating: int) -> Dataset:
@@ -195,9 +195,9 @@ def read_dataset(ratings_path, rankings_path, max_rating: int) -> Dataset:
             f"{rankings_path} has {rankings.shape[0]}"
         )
     max_rating = _whole(max_rating, "max_rating must be a positive integer")
-    bad = np.argwhere((ratings < 0) | (ratings > max_rating))
-    if bad.size:
-        i, j = bad[0]
+    bad = _first_outside(ratings, max_rating)
+    if bad is not None:
+        i, j = bad
         # read_ratings returns the matrix alone, and only this message needs
         # the judge's line number: read the file again for it
         line_no = _read_rows(ratings_path)[0][i + 1]
@@ -205,7 +205,8 @@ def read_dataset(ratings_path, rankings_path, max_rating: int) -> Dataset:
             f"{ratings_path}, line {line_no}: rating {ratings[i, j]} for object "
             f"obj_{j + 1} is outside 0..{max_rating}"
         )
-    return Dataset(ratings=ratings, rankings=rankings, max_rating=max_rating)
+    # every check Dataset makes is made above, with the file's line in each message
+    return _checked_dataset(ratings, rankings, max_rating)
 
 
 @contextlib.contextmanager
@@ -304,19 +305,9 @@ def write_rankings(path, rankings) -> None:
     low, high, n = rankings.min(), rankings.max(), rankings.shape[1]
     if low < 0 or high >= n:
         raise ValueError(f"ranking label {low if low < 0 else high} is outside 0..{n - 1}")
-    _refuse_repeated_labels(rankings)
-    _write_digits(path, np.add(rankings, 1, dtype=np.int64))
-
-
-def _refuse_repeated_labels(rankings: np.ndarray) -> None:
-    """Refuse the first row of ``rankings``, labels in ``0..J-1``, that
-    repeats a label.  One count per (row, label) slot finds it, without a
-    sort; the counts are freed before the file is built."""
-    n = rankings.shape[1]
-    slots = np.arange(0, rankings.size, n)[:, None] + rankings.astype(np.int64, copy=False)
-    counts = np.bincount(slots.ravel())
-    if counts.max() > 1:
-        row = int(np.argmax(counts > 1)) // n
+    row = _first_non_permutation(rankings)
+    if row is not None:
         raise ValueError(
             f"ranking row {row} is not a permutation of 0..{n - 1}: {rankings[row].tolist()}"
         )
+    _write_digits(path, np.add(rankings, 1, dtype=np.int64))

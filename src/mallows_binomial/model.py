@@ -318,24 +318,20 @@ class Dataset:
         _whole(n_judges, "need at least one judge")
         _whole(n_objects, "need at least one object")
         max_rating = _whole(self.max_rating, "max_rating must be a positive integer")
-        if ratings.min() < 0 or ratings.max() > max_rating:
-            bad = np.argwhere((ratings < 0) | (ratings > max_rating))[0]
+        bad = _first_outside(ratings, max_rating)
+        if bad is not None:
             raise ValueError(
-                f"rating {ratings[bad[0], bad[1]]} for judge {bad[0]}, object {bad[1]} "
+                f"rating {ratings[bad]} for judge {bad[0]}, object {bad[1]} "
                 f"is outside 0..{max_rating}"
             )
-        expected = np.arange(n_objects)
-        ok = np.all(np.sort(rankings, axis=1) == expected, axis=1)
-        if not np.all(ok):
-            bad_row = int(np.flatnonzero(~ok)[0])
+        bad_row = _first_non_permutation(rankings)
+        if bad_row is not None:
             raise ValueError(
                 f"ranking row {bad_row} is not a permutation of 0..{n_objects - 1}: "
                 f"{rankings[bad_row].tolist()}"
             )
-        # the np.array copies above are this dataset's own, so astype need not copy again
-        object.__setattr__(self, "ratings", _freeze(ratings.astype(np.int64, copy=False)))
-        object.__setattr__(self, "rankings", _freeze(rankings.astype(np.intp, copy=False)))
-        object.__setattr__(self, "max_rating", max_rating)
+        # the np.array copies above are this dataset's own
+        _checked_dataset(ratings, rankings, max_rating, self)
 
     @property
     def n_judges(self) -> int:
@@ -349,6 +345,37 @@ class Dataset:
         """New dataset keeping the given judge rows (with repeats), pairs intact."""
         idx = np.asarray(judge_indices, dtype=np.intp)
         return Dataset(self.ratings[idx], self.rankings[idx], self.max_rating)
+
+
+def _checked_dataset(ratings, rankings, max_rating: int, data: Dataset | None = None) -> Dataset:
+    """``data``, or a new Dataset, holding a panel that passed every check of
+    ``Dataset``, not checked again: int64 ratings and intp rankings, cast
+    without a copy where they already are, and frozen in place."""
+    data = object.__new__(Dataset) if data is None else data
+    object.__setattr__(data, "ratings", _freeze(ratings.astype(np.int64, copy=False)))
+    object.__setattr__(data, "rankings", _freeze(rankings.astype(np.intp, copy=False)))
+    object.__setattr__(data, "max_rating", max_rating)
+    return data
+
+
+def _first_outside(ratings: np.ndarray, max_rating: int) -> tuple[int, int] | None:
+    """(row, column) of the first rating outside ``0..max_rating``, or None."""
+    if ratings.min() >= 0 and ratings.max() <= max_rating:
+        return None
+    return divmod(int(np.argmax((ratings < 0) | (ratings > max_rating))), ratings.shape[1])
+
+
+def _first_non_permutation(rankings: np.ndarray) -> int | None:
+    """The first row not a permutation of ``0..J-1``, or None.  No sort: a row
+    is one when its labels mark all ``J`` of its (row, label) slots."""
+    rows, n = rankings.shape
+    if rankings.min() < 0 or rankings.max() >= n:
+        # any other label marks the spare last slot, index -1
+        rankings = np.where((rankings < 0) | (rankings >= n), -1, rankings.astype(np.int64))
+    seen = np.zeros((rows, n + 1), bool)
+    seen[np.arange(rows)[:, None], rankings] = True
+    short = ~seen[:, :n].all(axis=1)
+    return int(np.argmax(short)) if short.any() else None
 
 
 def _log_binom_levels(max_rating: int) -> np.ndarray:

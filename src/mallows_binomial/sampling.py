@@ -19,8 +19,8 @@ regardless of evaluation order and a larger dataset extends a smaller one
 drawn from the same seed.  Building one generator per judge (or per bootstrap
 replicate) costs more than its draws, so streams are derived in bulk, and
 :func:`sample_dataset` replays PCG64 and numpy's binomial inversion over all
-judges at once; the bootstrap and numpy's scalar-only draws set each state on
-one reused generator.
+judges at once (on the numpy versions it is tested on); the bootstrap and
+numpy's scalar-only draws set each state on one reused generator.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .model import Dataset, Params, _check_theta, _whole, as_ranking
+from .model import Dataset, Params, _check_theta, _checked_dataset, _whole, as_ranking
 
 __all__ = [
     "spawn_rng",
@@ -82,6 +82,9 @@ _1, _11, _32, _58, _63 = (np.uint64(shift) for shift in (1, 11, 32, 58, 63))
 _LOW32 = np.uint64(_MASK32)
 # keys per bulk derivation, so the states of a large range are never all held
 _STATE_BLOCK = 4096
+# numpy (major, minor) versions the bulk replay is tested on; others sample per judge
+_REPLAYED_NUMPY = ((2, 4),)
+_NUMPY = tuple(int(part) for part in np.__version__.split(".")[:2])
 
 
 def _hashmix(value: np.ndarray, h: int, mult: int) -> tuple[np.ndarray, int]:
@@ -263,8 +266,9 @@ def sample_dataset(
     Judge ``i`` draws ``J - 1`` insertion uniforms, then ``binomial(max_rating,
     p_j)`` per object, from stream ``(seed, i)``.  All judges go in whole-array
     passes (PCG64 on uint64 limbs, numpy's binomial inversion, insertion); a
-    panel with a BTPE object, and any judge whose inversion restarts, goes one
-    judge at a time.  ``consensus`` defaults to the one ``params.p`` implies.
+    panel with a BTPE object or another numpy than ``_REPLAYED_NUMPY``, and any
+    judge whose inversion restarts, goes one judge at a time.  ``consensus``
+    defaults to the one ``params.p`` implies.
     """
     n_judges = _whole(n_judges, "n_judges must be a positive integer")
     max_rating = _max_rating(max_rating)
@@ -276,7 +280,7 @@ def sample_dataset(
     # numpy draws nothing for p == 0, and one double per inverted variate
     drawn = [j for j, p_j in enumerate(p) if p_j != 0.0]
     ratings = np.zeros((n_judges, n), dtype=np.int64)
-    if all(min(p_j, 1.0 - p_j) * max_rating <= 30.0 for p_j in p):
+    if _NUMPY in _REPLAYED_NUMPY and all(min(p_j, 1.0 - p_j) * max_rating <= 30.0 for p_j in p):
         uniforms = _pcg64_doubles(seed, np.arange(n_judges), n - 1 + len(drawn))
         restart = [np.empty(0, dtype=np.intp)]
         for column, j in enumerate(drawn, start=n - 1):
@@ -290,4 +294,4 @@ def sample_dataset(
         rng.random(out=uniforms[i, : n - 1])
         ratings[i] = [rng.binomial(max_rating, p_j) for p_j in p]
     rankings = _insertion_rankings(consensus, params.theta, uniforms[:, : n - 1])
-    return Dataset(ratings=ratings, rankings=rankings, max_rating=max_rating)
+    return _checked_dataset(ratings, rankings, max_rating)

@@ -136,6 +136,16 @@ def sample_dataset_loop(params, n_judges: int, max_rating: int, seed, consensus=
     return np.array(ratings), np.array(rankings)
 
 
+def first_non_permutation_sorted(rankings) -> int | None:
+    """The first row of an integer matrix whose sorted labels are not
+    ``0..J-1``, or None: the row-sort rule the panel checks once used."""
+    n = rankings.shape[1]
+    for row, labels in enumerate(rankings.tolist()):
+        if sorted(labels) != list(range(n)):
+            return row
+    return None
+
+
 def distance_moments_exhaustive(theta: float, n: int) -> tuple[float, float]:
     """Mean and variance of the Kendall distance under the exhaustive pmf."""
     center = tuple(range(n))

@@ -1,5 +1,6 @@
 """The summary that tools/bench_pairs.py writes, on a canned list of pairs,
-and the digest that names an uncommitted working tree."""
+its reading of each metric, and the digest that names an uncommitted
+working tree."""
 
 import subprocess
 
@@ -41,6 +42,48 @@ def test_summary_reports_a_failed_run():
     assert not summary["all_correct"]
     assert summary["failed"] == {"parent": 0, "change": 2}
     assert summary["metrics"]["work_per_s"]["parent"] == {"median": 10.0, "q1": 10.0, "q3": 10.0}
+
+
+def reading(parent, change, better="higher", bound=0.25):
+    """The reading ``summarise`` gives one metric ``m`` over these pairs."""
+    def side(value):
+        return {"correct": True, "failed": 0, "metrics": {"m": value}}
+
+    pairs = [{"parent": side(a), "change": side(b)} for a, b in zip(parent, change)]
+    return summarise(pairs, {"m": better}, {"m": bound})["metrics"]["m"]["reading"]
+
+
+STEADY = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0]
+WIDE = [50.0, 150.0, 60.0, 140.0, 100.0, 100.0, 55.0, 145.0, 100.0, 100.0]
+
+
+def test_a_gain_needs_nine_pairs_in_ten_and_a_gap_past_the_spread():
+    faster = [value + 5 for value in STEADY]
+    assert reading(STEADY, faster) == "gain"
+    assert reading(STEADY, faster[:9] + [STEADY[9] - 1]) == "gain"
+    assert reading(STEADY, faster[:8] + [STEADY[8] - 1, STEADY[9] - 1]) == "unchanged"
+    # 10 of 10 pairs, but by less than the parent's interquartile range
+    assert reading(STEADY, [value + 0.5 for value in STEADY]) == "unchanged"
+    assert reading([0.010] * 9 + [0.011], [0.008] * 10, better="lower") == "gain"
+
+
+def test_worse_is_a_median_past_the_bound():
+    assert reading(STEADY, [70.0] * 10) == "worse"
+    assert reading(STEADY, [80.0] * 10) == "unchanged"
+    assert reading(STEADY, [126.0] * 10, better="lower") == "worse"
+    assert reading(STEADY, [124.0] * 10, better="lower") == "unchanged"
+    assert reading(STEADY, [99.0] * 10, bound=0.0) == "worse"
+
+
+def test_a_parent_spread_past_the_bound_is_unresolved():
+    assert reading(WIDE, [100.0] * 10) == "unresolved"
+    assert reading(WIDE, [100.0] * 10, bound=1.0) == "unchanged"
+    # unless every change run beats every parent run
+    assert reading(WIDE, [151.0] * 10) == "unchanged"
+    assert reading(WIDE, [150.0] * 10) == "unresolved"
+    assert reading(WIDE, [49.0] * 10, better="lower") == "unchanged"
+    # a loss past the bound reads worse, however wide the spread
+    assert reading(WIDE, [60.0] * 10) == "worse"
 
 
 def test_diff_sha256_names_the_working_tree(tmp_path):

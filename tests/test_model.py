@@ -29,6 +29,7 @@ from mallows_binomial import (
 from mallows_binomial.asymptotics import coverage_study, lan_check, theoretical_se
 from mallows_binomial.bootstrap import bootstrap_fit
 from mallows_binomial.io import read_dataset, write_rankings, write_ratings
+from mallows_binomial.model import _first_non_permutation
 from mallows_binomial.sampling import (
     derive_seed,
     sample_dataset,
@@ -40,6 +41,7 @@ from mallows_binomial.sampling import (
 from .oracles import (
     all_permutations,
     distance_moments_exhaustive,
+    first_non_permutation_sorted,
     joint_loglik_direct,
     kendall_naive,
     log_binom_const_direct,
@@ -327,6 +329,72 @@ def test_dataset_validation_messages():
         Dataset(ratings=[[0.5, 1.0, 2.0]], rankings=[[0, 1, 2]], max_rating=4)
     with pytest.raises(ValueError, match="judge 0, object 1"):
         Dataset(ratings=[[0, -1, 2]], rankings=[[0, 1, 2]], max_rating=4)
+
+
+LABEL_DTYPES = (np.int8, np.uint8, np.int64, np.uint64)
+
+
+@st.composite
+def label_matrices(draw):
+    """Rows of permutations in one of the label dtypes, some cells spoilt by a
+    negative label, a label past ``J - 1`` or a label repeated from the row."""
+    dtype = np.dtype(draw(st.sampled_from(LABEL_DTYPES)))
+    n = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=12))
+    matrix = np.array(rows, dtype=dtype)
+    low, high = np.iinfo(dtype).min, np.iinfo(dtype).max
+    kinds = ["past", "repeat"] + (["negative"] if low < 0 else [])
+    cells = st.tuples(st.integers(0, len(rows) - 1), st.integers(0, n - 1), st.sampled_from(kinds))
+    for row, column, kind in draw(st.lists(cells, max_size=4)):
+        if kind == "negative":
+            matrix[row, column] = draw(st.integers(low, -1))
+        elif kind == "past":
+            matrix[row, column] = draw(st.integers(n, high))
+        else:
+            matrix[row, column] = matrix[row, draw(st.integers(0, n - 1))]
+    return matrix
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_matrices())
+def test_first_non_permutation_matches_the_row_sort(matrix):
+    before = matrix.copy()
+    assert _first_non_permutation(matrix) == first_non_permutation_sorted(matrix)
+    assert matrix.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("dtype", LABEL_DTYPES)
+def test_first_non_permutation_reports_the_first_of_several_bad_rows(dtype):
+    rows = [[0, 1, 2], [2, 0, 1], [1, 1, 0], [3, 0, 1], [2, 1, 0], [0, 0, 0]]
+    assert _first_non_permutation(np.array(rows, dtype)) == 2
+    assert _first_non_permutation(np.array(rows[:2] + rows[3:], dtype)) == 2
+    assert _first_non_permutation(np.array(rows[:2], dtype)) is None
+    if np.dtype(dtype).kind == "i":
+        assert _first_non_permutation(np.array([[0, 1], [-1, 0], [1, 1]], dtype)) == 1
+
+
+def assert_same_dataset(data, max_rating):
+    """``data`` holds what ``Dataset`` makes of its own arrays: the same
+    values and dtypes, frozen, and an int ``max_rating``."""
+    direct = Dataset(data.ratings, data.rankings, max_rating)
+    for field in ("ratings", "rankings"):
+        mine, theirs = getattr(data, field), getattr(direct, field)
+        assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape)
+        assert mine.tobytes() == theirs.tobytes()
+        assert not mine.flags.writeable and not theirs.flags.writeable
+    assert type(data.max_rating) is int and data.max_rating == direct.max_rating
+
+
+@pytest.mark.parametrize("max_rating", [5, np.int64(5), 5.0])
+def test_read_and_sampled_panels_equal_the_checked_dataset(tmp_path, max_rating):
+    data = sample_dataset(SMALL, 25, max_rating, seed=3)
+    assert_same_dataset(data, max_rating)
+    write_ratings(tmp_path / "ratings.csv", data.ratings)
+    write_rankings(tmp_path / "rankings.csv", data.rankings)
+    read = read_dataset(tmp_path / "ratings.csv", tmp_path / "rankings.csv", max_rating)
+    assert_same_dataset(read, max_rating)
+    assert read.ratings.tobytes() == data.ratings.tobytes()
+    assert read.rankings.tobytes() == data.rankings.tobytes()
 
 
 def test_dataset_refuses_an_empty_object_axis():

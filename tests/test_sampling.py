@@ -1,6 +1,7 @@
 """Sampler exactness, stream determinism, and distributional agreement."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mallows_binomial import (
     kendall_distance,
 )
 from mallows_binomial import sampling
+from mallows_binomial.cli import run
 from mallows_binomial.sampling import (
     _PCG64_MULT,
     _STATE_BLOCK,
@@ -406,6 +408,35 @@ def test_sample_dataset_matches_per_judge_generators(
     ratings, rankings = sample_dataset_loop(params, n_judges, max_rating, seed)
     assert data.ratings.tobytes() == ratings.astype(np.int64).tobytes()
     assert data.rankings.tobytes() == rankings.astype(np.intp).tobytes()
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_sample_dataset_off_the_replayed_numpy_gives_the_same_bytes(monkeypatch, tmp_path):
+    # the bench panel's J = 6, I = 20 000 draw and a few seeds of a small one
+    panel = Params(p=[0.1, 0.25, 0.4, 0.55, 0.7, 0.85], theta=1.0)
+    cases = [(PARAMS, 40, 5, seed) for seed in (0, 101, 2**64 + 1)] + [(panel, 20_000, 5, 0)]
+    replayed = [sample_dataset(*case) for case in cases]
+
+    def no_replay(*args):
+        raise AssertionError("the bulk replay ran on a numpy it was not tested on")
+
+    monkeypatch.setattr(sampling, "_REPLAYED_NUMPY", ())
+    monkeypatch.setattr(sampling, "_pcg64_doubles", no_replay)
+    for case, data in zip(cases, replayed):
+        judged = sample_dataset(*case)
+        assert judged.ratings.tobytes() == data.ratings.tobytes()
+        assert judged.rankings.tobytes() == data.rankings.tobytes()
+    # the committed J = 6 golden panel, drawn again by the CLI
+    files = {name: tmp_path / f"j6_{name}.csv" for name in ("ratings", "rankings")}
+    assert run([
+        "simulate", "--p", "0.2,0.3,0.45,0.5,0.7,0.75", "--theta", "0.6", "--M", "4",
+        "--judges", "30", "--seed", "3", "--ratings", str(files["ratings"]),
+        "--rankings", str(files["rankings"]), "--out", str(tmp_path / "simulate.json"),
+    ]) == 0
+    for path in files.values():
+        assert path.read_bytes() == (GOLDEN / path.name).read_bytes()
 
 
 def test_sample_dataset_judges_differ():

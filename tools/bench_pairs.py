@@ -10,10 +10,11 @@ directory.  Pair ``k`` runs ``python3 bench/run.py --workload W --seed k
 ``S`` the ``run_seconds`` of ``BENCHMARK.json``; even pairs run the parent
 first, odd pairs the change.  ``--workload`` may be given more than once.  The output holds every
 pair's end-to-end metrics, each side's median and quartiles, how many pairs
-the change won on each metric (ties count for neither side), and both sides'
-``source_lines``.  When the working tree differs from its commit, the output
-also holds the sha256 of ``git diff --binary HEAD``, which names the code
-measured.
+the change won on each metric (ties count for neither side), a reading of
+each metric against its ``BENCHMARK.json`` bound (``gain``, ``worse``,
+``unresolved`` or ``unchanged``), and both sides' ``source_lines``.  When the
+working tree differs from its commit, the output also holds the sha256 of
+``git diff --binary HEAD``, which names the code measured.
 """
 
 from __future__ import annotations
@@ -81,13 +82,39 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Both sides' median and quartiles per metric, and the pairs each side won.
+def _reading(parent: list[float], change: list[float], sign: int, bound: float) -> str:
+    """What one metric's pairs show; ``sign`` is 1 where higher is better, else -1.
+
+    ``gain``: the change won at least 9 pairs in 10, and its median beats the
+    parent's by more than the parent's interquartile range.  ``worse``: the
+    change's median is worse than the parent's by more than ``bound`` times
+    the parent's median.  ``unresolved``: the parent's interquartile range is
+    wider than ``bound`` times its median, unless every change run beats
+    every parent run.  ``unchanged``: anything else.
+    """
+    parent, change = [sign * v for v in parent], [sign * v for v in change]  # higher is better
+    p, c = _quartiles(parent), _quartiles(change)
+    spread, gap, allowed = p["q3"] - p["q1"], c["median"] - p["median"], bound * abs(p["median"])
+    if 10 * sum(b > a for a, b in zip(parent, change)) >= 9 * len(parent) and gap > spread:
+        return "gain"
+    if -gap > allowed:
+        return "worse"
+    if spread > allowed and min(change) <= max(parent):
+        return "unresolved"
+    return "unchanged"
+
+
+def summarise(
+    pairs: list[dict], better: dict[str, str], bounds: dict[str, float] | None = None
+) -> dict:
+    """Both sides' median and quartiles per metric, the pairs each side won,
+    and the metric's reading (:func:`_reading`).
 
     ``pairs`` holds ``{"parent": run, "change": run}`` entries whose runs have
     ``correct``, ``failed`` and a ``metrics`` mapping; ``better`` maps each
-    metric name to ``"lower"`` or ``"higher"``.  A pair where both sides read
-    the same counts for neither.
+    metric name to ``"lower"`` or ``"higher"``, and ``bounds`` to the relative
+    bound ``BENCHMARK.json`` declares for it (0 where none is given).  A pair
+    where both sides read the same counts for neither.
     """
     sides = ("parent", "change")
     metrics = {}
@@ -100,6 +127,7 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
             "change": _quartiles(change),
             "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
             "parent_wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
+            "reading": _reading(parent, change, sign, (bounds or {}).get(name, 0.0)),
         }
     return {
         "pairs": len(pairs),
@@ -123,6 +151,7 @@ def main(argv=None) -> int:
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = declared["run_seconds"]
     better = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
+    bounds = {metric["name"]: metric["bound"] for metric in declared["end_to_end"]}
     document = {
         "parent_ref": args.parent_ref,
         "change_sha": _git("rev-parse", "HEAD").decode().strip(),
@@ -144,7 +173,7 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: {pair[side]}", file=sys.stderr)
                 pairs.append(pair)
             document["workloads"][workload] = {
-                "summary": summarise(pairs, better), "pairs": pairs
+                "summary": summarise(pairs, better, bounds), "pairs": pairs
             }
     document["source_lines"] = {side: report["source_lines"] for side, report in reports.items()}
     machine = reports["change"]["provenance"]
