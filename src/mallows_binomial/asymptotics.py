@@ -29,7 +29,8 @@ from scipy.special import ndtri
 
 from .bootstrap import _fan_out, bootstrap_fit
 from .estimation import _sharing_solves, fit
-from .model import DEFAULT_BOUNDS, ParamBounds, Params, _check_alpha, _whole, distance_variance
+from .model import DEFAULT_BOUNDS, ParamBounds, Params, _check_alpha, _max_rating, _whole
+from .model import distance_variance
 from .sampling import _check_path, derive_seed, sample_dataset
 
 __all__ = ["StandardErrors", "theoretical_se", "CoverageReport", "lan_check", "coverage_study"]
@@ -53,7 +54,7 @@ def theoretical_se(params: Params, max_rating: int, n_judges: int) -> StandardEr
     ``ValueError`` when ``theta`` is so large (about 375 and beyond) that
     ``(kappa')^2`` underflows to zero.
     """
-    max_rating = _whole(max_rating, "max_rating must be a positive integer")
+    max_rating = _max_rating(max_rating)
     n_judges = _whole(n_judges, "n_judges must be a positive integer")
     p_se = np.sqrt(params.p * (1.0 - params.p) / (max_rating * n_judges))
     var = distance_variance(params.theta, params.n_objects)
@@ -118,7 +119,7 @@ def _check_study_args(params, bounds, n_judges, max_rating, n_replications, alph
         theta_true=params.theta,
         n_objects=params.n_objects,
         n_judges=_whole(n_judges, "n_judges must be a positive integer"),
-        max_rating=_whole(max_rating, "max_rating must be a positive integer"),
+        max_rating=_max_rating(max_rating),
         n_replications=_whole(n_replications, "n_replications must be a positive integer"),
         alpha=_check_alpha(alpha),
         seed=_check_path(seed, ())[0],

@@ -45,9 +45,8 @@ from .model import (
     ParamBounds,
     SufficientStats,
     _check_alpha,
-    _freeze,
-    _log_binom_levels,
     _pair_indicators,
+    _stats_from_sums,
     _whole,
 )
 from .sampling import _check_path, _streams
@@ -123,7 +122,6 @@ class _JudgeTables:
 
     table: np.ndarray
     n_objects: int
-    log_binom: np.ndarray
     max_rating: int
 
     @classmethod
@@ -137,36 +135,19 @@ class _JudgeTables:
         table[:, n + n * n :] = np.bincount(
             level_index.ravel(), minlength=n_judges * levels
         ).reshape(n_judges, levels)
-        return cls(
-            table=table,
-            n_objects=n,
-            log_binom=_log_binom_levels(data.max_rating),
-            max_rating=data.max_rating,
-        )
+        return cls(table=table, n_objects=n, max_rating=data.max_rating)
 
     def replicates(self, seed, start: int, stop: int) -> list[SufficientStats]:
-        """Statistics of replicates ``start..stop-1``: the draws ``resample``
-        makes from ``(seed, b)``."""
+        """Statistics of replicates ``start..stop-1`` (the draws ``resample``
+        makes from ``(seed, b)``), made from their sums as ``from_dataset``'s are."""
         n_judges, n = self.table.shape[0], self.n_objects
         weights = np.empty((stop - start, n_judges))
         for row, rng in enumerate(_streams(seed, range(start, stop))):
             weights[row] = np.bincount(_draw_judges(n_judges, rng), minlength=n_judges)
         sums = weights @ self.table
-        xbar = _freeze(sums[:, :n] / n_judges)
-        pair_counts = _freeze(sums[:, n : n + n * n].astype(np.int64).reshape(-1, n, n))
-        # one (1, M + 1) @ (M + 1, 1) product per replicate: each is the 1-D
-        # dot of SufficientStats.from_dataset, bit for bit
-        constants = (sums[:, None, n + n * n :] @ self.log_binom[:, None]).ravel().tolist()
-        return [
-            SufficientStats(
-                xbar=xbar[row],
-                pair_counts=pair_counts[row],
-                n_judges=n_judges,
-                max_rating=self.max_rating,
-                log_binom_const=constants[row],
-            )
-            for row in range(stop - start)
-        ]
+        return _stats_from_sums(
+            sums[:, :n], sums[:, n : n + n * n], sums[:, n + n * n :], n_judges, self.max_rating
+        )
 
 
 def _fit_replicates(job) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -3,10 +3,11 @@
 Every subcommand writes exactly one output document (JSON by default, CSV
 summary on request) that echoes every parsed argument but ``--threads``, and
 exits with status 0 only when that document was completely written.  Bad
-input, a failed read or write, and running out of memory each print one
-``error:`` line and exit with status 1.  A document, like each CSV file of
-``simulate``, goes to a temporary file beside its path and is renamed into
-place, so a failed write leaves any earlier file at that path untouched.
+input, a failed read or write, running out of memory and a size past numpy's
+integers each print one ``error:`` line and exit with status 1.  A document,
+like each CSV file of ``simulate``, goes to a temporary file beside its path
+and is renamed into place, so a failed write leaves any earlier file at that
+path untouched.
 ``simulate`` writes both CSV files before renaming either; only a failure
 between the two renames can leave the new ratings beside the earlier
 rankings.  It writes nothing, and samples nothing, when two of
@@ -338,7 +339,7 @@ def run(argv=None) -> int:
             sys.stdout.write(text)
         else:
             _write_atomically(args.out, text)
-    except (ValueError, OSError, MemoryError) as error:
+    except (ValueError, OSError, MemoryError, OverflowError) as error:
         print(f"error: {str(error) or type(error).__name__}", file=sys.stderr)
         return 1
     return 0

@@ -29,7 +29,7 @@ import os
 
 import numpy as np
 
-from .model import Dataset, _checked_dataset, _first_non_permutation, _first_outside, _whole
+from .model import Dataset, _checked_dataset, _first_non_permutation, _first_outside, _max_rating
 
 __all__ = [
     "read_ratings",
@@ -194,7 +194,7 @@ def read_dataset(ratings_path, rankings_path, max_rating: int) -> Dataset:
             f"{ratings_path} has {ratings.shape[0]} judges but "
             f"{rankings_path} has {rankings.shape[0]}"
         )
-    max_rating = _whole(max_rating, "max_rating must be a positive integer")
+    max_rating = _max_rating(max_rating)
     bad = _first_outside(ratings, max_rating)
     if bad is not None:
         i, j = bad

@@ -143,6 +143,14 @@ def _whole(value, message: str, minimum: int = 1) -> int:
     return number
 
 
+def _max_rating(max_rating) -> int:
+    """A rating scale numpy's binomial takes: a positive int64."""
+    max_rating = _whole(max_rating, "max_rating must be a positive integer")
+    if max_rating > 2**63 - 1:
+        raise ValueError(f"max_rating must be at most 2**63 - 1, got {max_rating}")
+    return max_rating
+
+
 def log_psi(theta, n_objects) -> float:
     """Log of the ranking-kernel normalizer.
 
@@ -317,7 +325,7 @@ class Dataset:
         n_judges, n_objects = ratings.shape
         _whole(n_judges, "need at least one judge")
         _whole(n_objects, "need at least one object")
-        max_rating = _whole(self.max_rating, "max_rating must be a positive integer")
+        max_rating = _max_rating(self.max_rating)
         bad = _first_outside(ratings, max_rating)
         if bad is not None:
             raise ValueError(
@@ -428,15 +436,14 @@ class SufficientStats:
 
     @classmethod
     def from_dataset(cls, data: Dataset) -> "SufficientStats":
-        pair_counts = _pair_indicators(data.rankings).sum(axis=0, dtype=np.int64)
-        counts = np.bincount(data.ratings.ravel(), minlength=data.max_rating + 1)
-        return cls(
-            xbar=_freeze(data.ratings.mean(axis=0)),
-            pair_counts=_freeze(pair_counts),
-            n_judges=data.n_judges,
-            max_rating=data.max_rating,
-            log_binom_const=float(counts @ _log_binom_levels(data.max_rating)),
-        )
+        return _stats_from_sums(
+            # summed in float64, as ratings.mean(axis=0) sums them
+            data.ratings.sum(axis=0, dtype=np.float64)[None],
+            _pair_indicators(data.rankings).sum(axis=0, dtype=np.int64).reshape(1, -1),
+            np.bincount(data.ratings.ravel(), minlength=data.max_rating + 1)[None],
+            data.n_judges,
+            data.max_rating,
+        )[0]
 
     @property
     def n_objects(self) -> int:
@@ -452,6 +459,24 @@ class SufficientStats:
         exact integer: ``n_judges`` times the mean distance)."""
         ahead, behind = _upper_pairs(self.n_objects)
         return int(self.pair_counts[order[behind], order[ahead]].sum())
+
+
+def _stats_from_sums(
+    rating_sums, pair_counts, level_counts, n_judges: int, max_rating: int
+) -> list[SufficientStats]:
+    """The statistics of ``S`` panels of ``n_judges`` judges, one per row of
+    their ``(S, J)`` rating sums, ``(S, J * J)`` pair counts and ``(S, M + 1)``
+    rating-level counts.  Each constant is one ``(1, M + 1) @ (M + 1, 1)``
+    product, the 1-D dot's bits; a matrix-vector product rounds otherwise."""
+    n = rating_sums.shape[1]
+    xbar = _freeze(rating_sums / n_judges)
+    pairs = _freeze(pair_counts.astype(np.int64, copy=False).reshape(-1, n, n))
+    log_binom = _log_binom_levels(max_rating)[:, None]
+    constants = (level_counts[:, None, :] @ log_binom).ravel().tolist()
+    return [
+        SufficientStats(xbar[row], pairs[row], n_judges, max_rating, constants[row])
+        for row in range(len(constants))
+    ]
 
 
 def _as_stats(data) -> SufficientStats:

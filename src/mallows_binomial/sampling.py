@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .model import Dataset, Params, _check_theta, _checked_dataset, _whole, as_ranking
+from .model import Dataset, Params, _check_theta, _checked_dataset, _max_rating, _whole, as_ranking
 
 __all__ = [
     "spawn_rng",
@@ -208,14 +208,6 @@ def sample_mallows(consensus, theta, n_samples: int, rng: np.random.Generator) -
     # insertion step m takes the m-th block of n_samples uniforms
     uniforms = rng.random((consensus.size - 1, n_samples)).T
     return _insertion_rankings(consensus, theta, uniforms)
-
-
-def _max_rating(max_rating) -> int:
-    """A rating scale numpy's binomial takes: a positive int64."""
-    max_rating = _whole(max_rating, "max_rating must be a positive integer")
-    if max_rating > 2**63 - 1:
-        raise ValueError(f"max_rating must be at most 2**63 - 1, got {max_rating}")
-    return max_rating
 
 
 def sample_ratings(p, max_rating: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:

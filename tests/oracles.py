@@ -5,13 +5,15 @@ the package code: pair-by-pair distance counting, exhaustive sums over all J!
 permutations, term-by-term density products, and grid searches.  Slow is
 fine; these run only at small sizes.
 
-Three more references are the package's earlier kernels, kept verbatim so
-that their faster replacements can be held to the same bits, or for the
+Four more references are the package's earlier kernels, kept verbatim so
+that their replacements can be held to the same bits, or for the
 best-first bound to rounding: :func:`theta_mle_brentq` finds the root
 through ``scipy.optimize.brentq``, :func:`rating_terms_rows_first` runs the
-isotonic min-max fit with one row per candidate, and
+isotonic min-max fit with one row per candidate,
 :func:`child_bounds_rows_first` bounds a best-first node's children through
-it, one full-width row per child.
+it, one full-width row per child, and :func:`sufficient_stats_direct` is
+the formula ``SufficientStats.from_dataset`` had before it shared the
+bootstrap's rule for turning judge sums into statistics.
 
 The exceptions are the scalar loops:
 :func:`fit_exhaustive_loop` runs one profile per permutation,
@@ -48,6 +50,7 @@ from mallows_binomial import (
 )
 from mallows_binomial.bootstrap import _JudgeTables
 from mallows_binomial.estimation import _PRUNE_SLACK, _concentration_terms
+from mallows_binomial.model import _log_binom_levels
 
 
 def kendall_naive(a, b) -> int:
@@ -178,6 +181,20 @@ def joint_loglik_direct(rankings, ratings, p, theta, consensus, max_rating) -> f
 def log_binom_const_direct(ratings, max_rating: int) -> float:
     return float(
         sum(math.log(math.comb(max_rating, int(x))) for x in np.asarray(ratings).ravel())
+    )
+
+
+def sufficient_stats_direct(data) -> tuple[np.ndarray, np.ndarray, float]:
+    """Mean ratings, pair counts and binomial constant of a panel: the mean
+    over judges, the summed indicators of ranking ``u`` before ``v``, and the
+    rating-level counts dotted with the log binomial coefficients."""
+    positions = np.argsort(data.rankings, axis=1)
+    before = positions[:, :, None] < positions[:, None, :]
+    counts = np.bincount(data.ratings.ravel(), minlength=data.max_rating + 1)
+    return (
+        data.ratings.mean(axis=0),
+        before.sum(axis=0, dtype=np.int64),
+        float(counts @ _log_binom_levels(data.max_rating)),
     )
 
 

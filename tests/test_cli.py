@@ -624,6 +624,27 @@ def test_cli_simulate_refuses_a_scale_past_int64(tmp_path, capsys):
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("command", ["fit", "bootstrap", "lan-check", "coverage"])
+@pytest.mark.parametrize("max_rating", [2**63 - 1, 2**63], ids=["int64 max", "past int64"])
+def test_cli_refuses_a_scale_numpy_cannot_size(tmp_path, capsys, command, max_rating):
+    # 2**63 - 1 passes the scale rule, but its M + 1 rating levels overflow numpy
+    if command in ("fit", "bootstrap"):
+        _, ratings, rankings = write_panel(tmp_path)
+        inputs = ["--ratings", ratings, "--rankings", rankings]
+    else:
+        inputs = ["--p", "0.3,0.6", "--theta", "1", "--judges", "5", "--R", "2"]
+    before = sorted(os.listdir(tmp_path))
+    out = tmp_path / "doc.json"
+    status = run([command, *inputs, "--M", str(max_rating), "--out", str(out)])
+    assert status == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    if max_rating == 2**63:
+        assert captured.err == f"error: max_rating must be at most 2**63 - 1, got {2**63}\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_cli_lan_check_at_huge_theta_fails_cleanly(tmp_path, capsys):
     out = tmp_path / "lan.json"
     status = run(
@@ -686,6 +707,15 @@ def test_cli_malformed_bounds_name_the_flag(capsys, flag, value):
     err = capsys.readouterr().err
     assert f"{flag} expects two comma-separated numbers, got {value!r}" in err
     assert "parse" not in err
+
+
+@pytest.mark.parametrize("value", ["a,b", "0.3,", "0.3;0.6"])
+def test_cli_non_numeric_p_is_a_usage_error(tmp_path, capsys, value):
+    status = run(["simulate", "--p", value, "--theta", "1", "--judges", "5", "--M", "5",
+                  "--ratings", str(tmp_path / "r.csv"), "--rankings", str(tmp_path / "k.csv")])
+    assert status == 2
+    assert f"expected comma-separated numbers, got {value!r}" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 def test_cli_missing_file_fails(tmp_path, capsys):

@@ -369,6 +369,16 @@ def test_fit_dispatch():
         fit(data, method="grid")
 
 
+@pytest.mark.parametrize("n_objects", [3, 6])
+def test_fit_exhaustive_method_is_fit_exhaustive(n_objects):
+    data = sample_dataset(Params(p=np.linspace(0.2, 0.8, n_objects), theta=0.8), 25, 4, seed=6)
+    via_fit, direct = fit(data, method="exhaustive"), fit_exhaustive(data)
+    assert via_fit.method == "exhaustive"
+    for field in dataclasses.fields(FitResult):
+        mine, theirs = getattr(via_fit, field.name), getattr(direct, field.name)
+        assert np.asarray(mine).tobytes() == np.asarray(theirs).tobytes(), field.name
+
+
 @pytest.mark.parametrize("n_objects", [4, 7], ids=["screen", "best_first"])
 def test_fit_result_is_the_winners_profile(n_objects):
     params = Params(p=np.linspace(0.2, 0.8, n_objects), theta=1.0)

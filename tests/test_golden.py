@@ -131,6 +131,12 @@ CASES = (
          "--format", "csv", "--out", "lan_check_j7.csv"],
         ("lan_check_j7.csv",),
     ),
+    # the bootstrap study's CSV rows: interval widths and the clamp rate
+    (
+        ["coverage", *J4, "--judges", "30", "--R", "4", "--B", "20", "--seed", "5",
+         "--format", "csv", "--out", "coverage.csv"],
+        ("coverage.csv",),
+    ),
 )
 
 

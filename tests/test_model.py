@@ -46,6 +46,8 @@ from .oracles import (
     kendall_naive,
     log_binom_const_direct,
     psi_exhaustive,
+    small_panels,
+    sufficient_stats_direct,
 )
 
 THETAS = [0.1, 0.5, 1.0, 2.0, 5.0]
@@ -331,6 +333,22 @@ def test_dataset_validation_messages():
         Dataset(ratings=[[0, -1, 2]], rankings=[[0, 1, 2]], max_rating=4)
 
 
+def test_dataset_names_a_matrix_not_2d_and_float_rankings():
+    with pytest.raises(ValueError, match=r"must be 2-D \(judges x objects\)"):
+        Dataset(ratings=[0, 1, 2], rankings=[[0, 1, 2]], max_rating=4)
+    with pytest.raises(ValueError, match=r"must be 2-D \(judges x objects\)"):
+        Dataset(ratings=[[0, 1, 2]], rankings=[[[0, 1, 2]]], max_rating=4)
+    with pytest.raises(ValueError, match="rankings must be integers, got dtype float64"):
+        Dataset(ratings=[[0, 1, 2]], rankings=[[0.0, 1.0, 2.0]], max_rating=4)
+
+
+def test_dataset_refuses_a_scale_that_would_wrap_uint64_ratings():
+    # int64 would read the rating 2**64 - 1 as -1
+    message = rf"^{re.escape(f'max_rating must be at most 2**63 - 1, got {2**64}')}$"
+    with pytest.raises(ValueError, match=message):
+        Dataset(np.array([[2**64 - 1, 3]], np.uint64), [[0, 1]], 2**64)
+
+
 LABEL_DTYPES = (np.int8, np.uint8, np.int64, np.uint64)
 
 
@@ -462,6 +480,18 @@ def test_count_arguments_accept_whole_numbers(call, value, tmp_path):
     call(value, tmp_path)
 
 
+# every public entry that takes the rating scale
+SCALES = ["Dataset", "read_dataset", "sample_ratings", "sample_dataset.max_rating",
+          "theoretical_se.max_rating", "lan_check.max_rating", "coverage_study.max_rating"]
+
+
+@pytest.mark.parametrize("name", SCALES)
+def test_every_scale_argument_refuses_one_past_int64(name, tmp_path):
+    message = rf"^max_rating must be at most 2\*\*63 - 1, got {2**63}$"
+    with pytest.raises(ValueError, match=message):
+        COUNTS[name](2**63, tmp_path)
+
+
 def test_dataset_take_keeps_pairs():
     data = Dataset(
         ratings=[[0, 1, 2], [3, 4, 0], [1, 1, 1]],
@@ -540,6 +570,32 @@ def test_log_binom_const_matches_direct():
     assert stats.log_binom_const == pytest.approx(
         log_binom_const_direct(ratings, 5), rel=1e-12
     )
+
+
+def assert_stats_are_the_direct_formula(data):
+    stats = SufficientStats.from_dataset(data)
+    xbar, pair_counts, constant = sufficient_stats_direct(data)
+    assert stats.xbar.dtype == xbar.dtype and stats.xbar.tobytes() == xbar.tobytes()
+    assert stats.pair_counts.dtype == np.int64
+    assert stats.pair_counts.tobytes() == pair_counts.tobytes()
+    assert stats.log_binom_const.hex() == constant.hex()
+    assert (stats.n_judges, stats.max_rating) == (data.n_judges, data.max_rating)
+    assert not stats.xbar.flags.writeable and not stats.pair_counts.flags.writeable
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_panels())
+def test_stats_are_the_direct_formula_bit_for_bit(data):
+    assert_stats_are_the_direct_formula(data)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stats_of_a_large_panel_are_the_direct_formula_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    n_judges, n = 20_000, 4 + seed
+    ratings = rng.binomial(1000, rng.uniform(0.05, 0.95, n), size=(n_judges, n))
+    rankings = np.argsort(rng.random((n_judges, n)), axis=1)
+    assert_stats_are_the_direct_formula(Dataset(ratings, rankings, 1000))
 
 
 # ---------------------------------------------------------------------------

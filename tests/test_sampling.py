@@ -307,6 +307,12 @@ def test_binomial_inversion_flags_what_numpy_restarts():
     assert generator_before(1.0 - 2.0**-53).binomial(2, 0.8) == again[0]
 
 
+@pytest.mark.parametrize("p", [[[0.5, 0.2]], [], 0.5], ids=["2-D", "empty", "scalar"])
+def test_sample_ratings_refuses_p_not_a_vector(p):
+    with pytest.raises(ValueError, match="^p must be a non-empty 1-D vector$"):
+        sample_ratings(p, 4, 10, spawn_rng(0))
+
+
 def test_sample_ratings_validation():
     rng = spawn_rng(0)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
