@@ -8,71 +8,12 @@ uncertainty by nonparametric bootstrap, and checks the estimator's
 large-sample behavior by simulation.
 """
 
-from .estimation import (
-    FitResult,
-    ProfileFit,
-    constrained_p_mle,
-    fit,
-    fit_best_first,
-    fit_exhaustive,
-    profile_loglik,
-    theta_mle,
-)
-from .model import (
-    DEFAULT_BOUNDS,
-    Dataset,
-    ParamBounds,
-    Params,
-    SufficientStats,
-    as_ranking,
-    distance_mean_var,
-    distance_variance,
-    expected_distance,
-    kendall_distance,
-    log_likelihood,
-    log_psi,
-    max_kendall_distance,
-    order_of,
-    psi,
-)
-from .sampling import (
-    derive_seed,
-    sample_dataset,
-    sample_mallows,
-    sample_ratings,
-    spawn_rng,
-)
+from . import estimation, model, sampling
+from .estimation import *
+from .model import *
+from .sampling import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_BOUNDS",
-    "Dataset",
-    "FitResult",
-    "ParamBounds",
-    "Params",
-    "ProfileFit",
-    "SufficientStats",
-    "as_ranking",
-    "constrained_p_mle",
-    "derive_seed",
-    "distance_mean_var",
-    "distance_variance",
-    "expected_distance",
-    "fit",
-    "fit_best_first",
-    "fit_exhaustive",
-    "kendall_distance",
-    "log_likelihood",
-    "log_psi",
-    "max_kendall_distance",
-    "order_of",
-    "profile_loglik",
-    "psi",
-    "sample_dataset",
-    "sample_mallows",
-    "sample_ratings",
-    "spawn_rng",
-    "theta_mle",
-    "__version__",
-]
+# each module's ``__all__`` is its public API; the package republishes three
+__all__ = [*model.__all__, *estimation.__all__, *sampling.__all__, "__version__"]

@@ -45,6 +45,7 @@ from .model import (
     ParamBounds,
     SufficientStats,
     _check_alpha,
+    _n_levels,
     _pair_indicators,
     _stats_from_sums,
     _whole,
@@ -127,7 +128,7 @@ class _JudgeTables:
     @classmethod
     def from_dataset(cls, data: Dataset) -> "_JudgeTables":
         n_judges, n = data.ratings.shape
-        levels = data.max_rating + 1
+        levels = _n_levels(data.max_rating)
         table = np.empty((n_judges, n + n * n + levels))
         table[:, :n] = data.ratings
         table[:, n : n + n * n] = _pair_indicators(data.rankings).reshape(n_judges, n * n)

@@ -76,7 +76,6 @@ from scipy.optimize import isotonic_regression
 
 from .model import (
     DEFAULT_BOUNDS,
-    Dataset,
     ParamBounds,
     SufficientStats,
     _SERIES_CUTOFF,

@@ -31,6 +31,7 @@ __all__ = [
     "Params",
     "SufficientStats",
     "DEFAULT_BOUNDS",
+    "as_ranking",
     "kendall_distance",
     "max_kendall_distance",
     "order_of",
@@ -149,6 +150,13 @@ def _max_rating(max_rating) -> int:
     if max_rating > 2**63 - 1:
         raise ValueError(f"max_rating must be at most 2**63 - 1, got {max_rating}")
     return max_rating
+
+
+def _n_levels(max_rating: int) -> int:
+    """The number of rating levels, ``max_rating + 1``, where numpy can index them."""
+    if max_rating >= np.iinfo(np.intp).max:
+        raise ValueError(f"max_rating = {max_rating} has more rating levels than numpy can index")
+    return max_rating + 1
 
 
 def log_psi(theta, n_objects) -> float:
@@ -388,7 +396,7 @@ def _first_non_permutation(rankings: np.ndarray) -> int | None:
 
 def _log_binom_levels(max_rating: int) -> np.ndarray:
     """``log C(M, x)`` for every rating level ``x = 0..M``."""
-    levels = np.arange(max_rating + 1)
+    levels = np.arange(_n_levels(max_rating))
     return gammaln(max_rating + 1) - gammaln(levels + 1) - gammaln(max_rating - levels + 1)
 
 
@@ -440,7 +448,7 @@ class SufficientStats:
             # summed in float64, as ratings.mean(axis=0) sums them
             data.ratings.sum(axis=0, dtype=np.float64)[None],
             _pair_indicators(data.rankings).sum(axis=0, dtype=np.int64).reshape(1, -1),
-            np.bincount(data.ratings.ravel(), minlength=data.max_rating + 1)[None],
+            np.bincount(data.ratings.ravel(), minlength=_n_levels(data.max_rating))[None],
             data.n_judges,
             data.max_rating,
         )[0]

@@ -645,6 +645,22 @@ def test_cli_refuses_a_scale_numpy_cannot_size(tmp_path, capsys, command, max_ra
     assert sorted(os.listdir(tmp_path)) == before
 
 
+@pytest.mark.parametrize("command", ["fit", "bootstrap", "lan-check", "coverage"])
+def test_cli_names_the_scale_whose_levels_numpy_cannot_index(tmp_path, capsys, command):
+    if command in ("fit", "bootstrap"):
+        _, ratings, rankings = write_panel(tmp_path)
+        inputs = ["--ratings", ratings, "--rankings", rankings]
+    else:
+        inputs = ["--p", "0.3,0.6", "--theta", "1", "--judges", "5", "--R", "2"]
+    out = tmp_path / "doc.json"
+    status = run([command, *inputs, "--M", str(2**63 - 1), "--out", str(out)])
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "max_rating" in err and "9223372036854775807" in err
+    assert not out.exists()
+
+
 def test_cli_lan_check_at_huge_theta_fails_cleanly(tmp_path, capsys):
     out = tmp_path / "lan.json"
     status = run(
