@@ -16,7 +16,8 @@ how often the intervals cover the truth.
 
 Both studies run replication ``r`` through one driver: its dataset seed is
 ``(seed, r, 0)`` and its bootstrap seed ``(seed, r, 1)``, so either study is
-reproducible and individual replications can be re-run in isolation.
+reproducible and individual replications can be re-run in isolation.  A
+range's fits, point fits included, share one memo of concentration solves.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .bootstrap import _fan_out, bootstrap_fit
-from .estimation import _sharing_solves, fit
+from .estimation import fit
 from .model import DEFAULT_BOUNDS, ParamBounds, Params, _check_alpha, _max_rating, _whole
 from .model import distance_variance
 from .sampling import _check_path, derive_seed, sample_dataset
@@ -171,24 +172,18 @@ def lan_check(
     )
 
 
-def _replications(job) -> tuple[np.ndarray, ...]:
+def _replications(replicate, params, n_judges, max_rating, seed, bounds, start, stop):
     """Replications ``start..stop-1`` of one study, in order.
 
-    ``job`` is ``(replicate, params, n_judges, max_rating, seed, bounds,
-    start, stop)``.  Replication ``r`` samples a panel from ``(seed, r, 0)``;
+    Replication ``r`` samples a panel from ``(seed, r, 0)``;
     ``replicate(panel, derive_seed(seed, r, 1), bounds)`` gives its point
-    consensus, then its columns.  The range's fits, point fits included,
-    share one memo of concentration solves.  Returns whether each point
-    consensus is the truth's, then the stacked columns.
+    consensus, then its columns.  Each row is whether the point consensus is
+    the truth's, then the columns.
     """
-    replicate, params, n_judges, max_rating, seed, bounds, start, stop = job
-    rows = []
-    with _sharing_solves():
-        for r in range(start, stop):
-            data = sample_dataset(params, n_judges, max_rating, derive_seed(seed, r, 0))
-            consensus, *row = replicate(data, derive_seed(seed, r, 1), bounds)
-            rows.append((np.array_equal(consensus, params.consensus()), *row))
-    return tuple(np.array(column) for column in zip(*rows))
+    for r in range(start, stop):
+        data = sample_dataset(params, n_judges, max_rating, derive_seed(seed, r, 0))
+        consensus, *row = replicate(data, derive_seed(seed, r, 1), bounds)
+        yield np.array_equal(consensus, params.consensus()), *row
 
 
 def _point_fit(data, seed, bounds):

@@ -15,8 +15,9 @@ exactly in any summation order, and the statistics are bit for bit those of
 the resampled dataset, without building it.
 
 Replicates are refitted a block at a time by the estimator's stacked fit.
-The refits of one range share a memo of concentration solves, keyed on the
-solver's own arguments, which lives as long as the range.  The estimator
+One runner, ``_range``, runs each range of replicates (and of the studies'
+replications): its fits share a memo of concentration solves, keyed on the
+solver's own arguments, and its rows are stacked by column.  The estimator
 picks the search from the object count, as :func:`fit` does: up to 6
 objects the exhaustive screen bounds a block of replicates' candidates in
 one numpy pass; larger panels are refitted one replicate per block with the
@@ -151,46 +152,44 @@ class _JudgeTables:
         )
 
 
-def _fit_replicates(job) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Refits of the replicates ``start..stop-1`` of one job, in order.
+def _fit_replicates(tables: _JudgeTables, seed, bounds: ParamBounds, start: int, stop: int):
+    """Refits of the replicates ``start..stop-1``, in order, as rows of
+    qualities, concentration, consensus ranking and clamp flag.
 
-    ``job`` is ``(tables, seed, bounds, start, stop)``.  One screen block
-    of replicates at a time is built (so ``W`` never has more rows than a
-    block) and refitted as a stack.  The job's refits share one memo of
-    concentration solves, or the enclosing range's (see
-    :func:`~mallows_binomial.estimation._sharing_solves`).  Returns the
-    stacked qualities, concentrations, consensus rankings and clamp flags.
+    One screen block of replicates at a time is built (so ``W`` never has
+    more rows than a block) and refitted as a stack.
     """
-    tables, seed, bounds, start, stop = job
     size = _stack_block(tables.n_objects)
-    fits = []
+    for lo in range(start, stop, size):
+        for refit in _fit_stack(tables.replicates(seed, lo, min(lo + size, stop)), bounds):
+            yield refit.p, refit.theta, refit.consensus, refit.theta_clamped
+
+
+def _range(job) -> tuple[np.ndarray, ...]:
+    """One range of :func:`_fan_out`, ``job = (rows, *args, start, stop)``: the
+    rows of ``rows(*args, start, stop)``, stacked into one array per column,
+    whose fits share one memo of concentration solves (or the enclosing
+    range's, see :func:`~mallows_binomial.estimation._sharing_solves`)."""
+    rows, *args = job
     with _sharing_solves():
-        for lo in range(start, stop, size):
-            fits += _fit_stack(tables.replicates(seed, lo, min(lo + size, stop)), bounds)
-    return (
-        np.array([refit.p for refit in fits]),
-        np.array([refit.theta for refit in fits]),
-        np.array([refit.consensus for refit in fits]),
-        np.array([refit.theta_clamped for refit in fits]),
-    )
+        return tuple(np.array(column) for column in zip(*rows(*args)))
 
 
-def _fan_out(job, n: int, workers: int, *args) -> list[np.ndarray]:
-    """``job((*args, start, stop))`` over ``0..n-1`` in at most ``workers`` ranges.
+def _fan_out(rows, n: int, workers: int, *args) -> list[np.ndarray]:
+    """:func:`_range` of ``rows`` over ``0..n-1`` in at most ``workers`` ranges.
 
     The ranges are contiguous.  The calling process runs the first while a
     pool of one process per other range runs the rest; a single range starts
-    no pool.  Each job returns a tuple of arrays with one row per index, and
-    the columns are concatenated in range order.
+    no pool.  The columns are concatenated in range order.
     """
     edges = np.linspace(0, n, workers + 1).round().astype(int).tolist()
-    jobs = [(*args, start, stop) for start, stop in zip(edges, edges[1:]) if start < stop]
+    jobs = [(rows, *args, start, stop) for start, stop in zip(edges, edges[1:]) if start < stop]
     if len(jobs) == 1:
-        parts = [job(jobs[0])]
+        parts = [_range(jobs[0])]
     else:
         with ProcessPoolExecutor(max_workers=len(jobs) - 1) as pool:
-            rest = pool.map(job, jobs[1:])  # submitted before this process runs its own
-            parts = [job(jobs[0]), *rest]
+            rest = pool.map(_range, jobs[1:])  # submitted before this process runs its own
+            parts = [_range(jobs[0]), *rest]
     return [np.concatenate(column) for column in zip(*parts)]
 
 

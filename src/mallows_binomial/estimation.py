@@ -84,6 +84,7 @@ from .model import (
     _disagreements,
     _expected_distance,
     _loglik_from_stats,
+    _max_rating,
     as_ranking,
     expected_distance,
 )
@@ -126,9 +127,15 @@ def constrained_p_mle(xbar, max_rating: int, order, bounds: ParamBounds = DEFAUL
     box afterwards preserves monotonicity and optimality because the
     objective is separable and concave with coordinate maxima at the means.
 
-    Returns a vector indexed by object, not by rank.
+    Returns a vector indexed by object, not by rank.  Raises ``ValueError``
+    unless ``max_rating`` passes the scale rule and ``xbar`` is a 1-D vector
+    of mean ratings in ``0..max_rating``.
     """
+    max_rating = _max_rating(max_rating)
     xbar = np.asarray(xbar, dtype=float)
+    # NaN fails both comparisons
+    if xbar.ndim != 1 or not ((xbar >= 0.0) & (xbar <= max_rating)).all():
+        raise ValueError(f"xbar must be a 1-D vector of mean ratings in 0..{max_rating}")
     return _constrained_p(xbar, max_rating, as_ranking(order, xbar.size), bounds)
 
 

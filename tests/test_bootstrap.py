@@ -239,12 +239,11 @@ def test_bootstrap_fit_one_replicate_starts_no_pool(pool_starts):
     assert pool_starts == []
 
 
-def _fail_in_range(job):
-    """Fan-out job that raises in the range starting at ``failing_start``."""
-    failing_start, start, stop = job
+def _fail_in_range(failing_start, start, stop):
+    """Fan-out rows that raise in the range starting at ``failing_start``."""
     if start == failing_start:
         raise ValueError(f"range {start}..{stop - 1} failed")
-    return (np.arange(start, stop),)
+    return zip(range(start, stop))
 
 
 @pytest.mark.parametrize("failing_start", [0, 4], ids=["caller", "worker"])

@@ -25,7 +25,7 @@ from mallows_binomial import (
     fit,
     sample_dataset,
 )
-from mallows_binomial.bootstrap import _fit_replicates, _JudgeTables, bootstrap_fit
+from mallows_binomial.bootstrap import _fan_out, _fit_replicates, _JudgeTables, bootstrap_fit
 
 from .oracles import bootstrap_replicates_loop, small_panels
 from .test_exhaustive_screen import degenerate_panels, seeded_panel
@@ -35,8 +35,8 @@ FIELDS = ("p", "theta", "consensus", "theta_clamped")
 
 def replicate_mismatch(data, n_replicates, seed, expected=None) -> list[str]:
     """Fields on which the stacked refits differ from the loop's refits."""
-    job = (_JudgeTables.from_dataset(data), seed, DEFAULT_BOUNDS, 0, n_replicates)
-    stacked = _fit_replicates(job)
+    tables = _JudgeTables.from_dataset(data)
+    stacked = _fan_out(_fit_replicates, n_replicates, 1, tables, seed, DEFAULT_BOUNDS)
     if expected is None:
         expected = bootstrap_replicates_loop(data, n_replicates, seed)
     return [
@@ -130,8 +130,7 @@ def test_memo_solves_theta_once_per_distinct_count(monkeypatch):
         return theta_mle(dbar, n_objects, bounds)
 
     monkeypatch.setattr(estimation, "theta_mle", counted)
-    job = (_JudgeTables.from_dataset(data), 103, DEFAULT_BOUNDS, 0, 300)
-    _fit_replicates(job)
+    _fan_out(_fit_replicates, 300, 1, _JudgeTables.from_dataset(data), 103, DEFAULT_BOUNDS)
     stacked = len(calls)
     assert stacked == len(set(calls))
     calls.clear()
@@ -155,7 +154,7 @@ def test_six_objects_refit_one_screen_pass_per_block(monkeypatch):
     tables = _JudgeTables.from_dataset(data)
     tracemalloc.start()
     try:
-        _fit_replicates((tables, 127, DEFAULT_BOUNDS, 0, 50))
+        list(_fit_replicates(tables, 127, DEFAULT_BOUNDS, 0, 50))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -168,7 +167,7 @@ def test_seven_objects_memory_is_bounded():
     tables = _JudgeTables.from_dataset(data)
     tracemalloc.start()
     try:
-        _fit_replicates((tables, 109, DEFAULT_BOUNDS, 0, 50))
+        list(_fit_replicates(tables, 109, DEFAULT_BOUNDS, 0, 50))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

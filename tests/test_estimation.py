@@ -78,6 +78,23 @@ def test_p_mle_respects_order_argument():
     assert p == pytest.approx([0.8, 0.2, 0.5])
 
 
+@pytest.mark.parametrize("max_rating", [0, -5, 2.5])
+def test_p_mle_refuses_a_scale_off_the_rule(max_rating):
+    message = f"max_rating must be a positive integer, got {max_rating}"
+    with pytest.raises(ValueError, match=message):
+        constrained_p_mle([1.0, 2.0], max_rating, [0, 1])
+
+
+@pytest.mark.parametrize(
+    "xbar",
+    [[1.0, np.nan], [1.0, 9.0], [-0.5, 1.0], [1.0, np.inf], [[1.0, 2.0]], [[1.0], [2.0]], 3.0],
+    ids=["nan", "above-M", "negative", "inf", "row", "column", "scalar"],
+)
+def test_p_mle_refuses_means_off_the_scale(xbar):
+    with pytest.raises(ValueError, match=r"xbar must be a 1-D vector of mean ratings in 0\.\.5"):
+        constrained_p_mle(xbar, 5, [0, 1])
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     st.integers(2, 5).flatmap(
