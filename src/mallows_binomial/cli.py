@@ -10,10 +10,10 @@ and is renamed into place, so a failed write leaves any earlier file at that
 path untouched.
 ``simulate`` writes both CSV files before renaming either; only a failure
 between the two renames can leave the new ratings beside the earlier
-rankings.  It writes nothing, and samples nothing, when two of
-``--ratings``, ``--rankings`` and ``--out`` name one file.  Documents contain
-no timestamps or machine identifiers: the same invocation always produces
-the same bytes, whatever ``--threads`` says.
+rankings.  ``fit``, ``bootstrap`` and ``simulate`` read, sample and write
+nothing when two of ``--ratings``, ``--rankings`` and ``--out`` name one
+file.  Documents contain no timestamps or machine identifiers: the same
+invocation always produces the same bytes, whatever ``--threads`` says.
 
 Object labels are 1-based in everything the CLI reads or writes.
 """
@@ -210,9 +210,6 @@ def _cmd_fit(args) -> dict:
 
 
 def _cmd_simulate(args) -> dict:
-    paths = [args.ratings, args.rankings, *([] if args.out == "-" else [args.out])]
-    if len({os.path.realpath(path) for path in paths}) < len(paths):
-        raise ValueError("--ratings, --rankings and --out must name different files")
     params = Params(p=np.asarray(args.p), theta=args.theta)
     data = sample_dataset(params, args.judges, args.M, args.seed)
     # both files are complete before either is renamed into place
@@ -333,6 +330,12 @@ def run(argv=None) -> int:
     except SystemExit as exit_status:
         return int(exit_status.code or 0)
     try:
+        # a subcommand that names panel files must not read, or write over,
+        # one file under two of its flags
+        if "ratings" in vars(args):
+            paths = [args.ratings, args.rankings, *([] if args.out == "-" else [args.out])]
+            if len({os.path.realpath(path) for path in paths}) < len(paths):
+                raise ValueError("--ratings, --rankings and --out must name different files")
         payload = {"config": _common_config(args), "result": _HANDLERS[args.subcommand](args)}
         text = _render(payload, args.format)
         if args.out == "-":

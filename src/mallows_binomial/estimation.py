@@ -359,45 +359,39 @@ def _fit_stack(stack: list[SufficientStats], bounds: ParamBounds) -> list[FitRes
 
     The statistics must share the object count, judge count and rating
     scale.  Their profiles share the memo of the enclosing
-    :func:`_sharing_solves` block, or one of this call's own.  Up to
-    ``_EXHAUSTIVE_MAX`` objects the stack (at most ``_stack_block(J)``
-    statistics) goes through the screen in one pass, past it each
-    statistics through :func:`fit_best_first`; both apply the rule of the
-    module docstring, and each result is the one :func:`fit_exhaustive`
-    gives alone.
+    :func:`_sharing_solves` block, or one of this call's own.  Past
+    ``_EXHAUSTIVE_MAX`` objects each statistics goes through
+    :func:`fit_best_first`.  Up to it the stack (at most ``_stack_block(J)``
+    statistics) goes through the screen in one pass: bound every row of the
+    ``(statistics, J!)`` candidate matrix, then profile the rows that can
+    reach their statistics' best profile.  Both apply the rule of the module
+    docstring, and each result is the one :func:`fit_exhaustive` gives alone.
     """
     with _sharing_solves():
         if stack[0].n_objects > _EXHAUSTIVE_MAX:
             return [fit_best_first(stats, bounds) for stats in stack]
-        return _screen_stack(stack, bounds)
-
-
-def _screen_stack(stack: list[SufficientStats], bounds: ParamBounds) -> list[FitResult]:
-    """The exhaustive screen of :func:`_fit_stack`: bound every row of the
-    ``(statistics, J!)`` candidate matrix, then profile the rows that can
-    reach their statistics' best profile."""
-    n, n_judges = stack[0].n_objects, stack[0].n_judges
-    perms = _lex_permutations(n)
-    xbar = np.stack([stats.xbar for stats in stack])
-    rating = _rating_terms(
-        xbar[:, perms].reshape(-1, n), stack[0].max_rating, bounds
-    ).reshape(len(stack), -1)
-    disagreements = _disagreements(np.stack([stats.pair_counts for stats in stack]), perms)
-    ranking = _concentration_terms(disagreements / n_judges, n, bounds)
-    constant = np.array([stats.log_binom_const for stats in stack])
-    bound = n_judges * (rating + ranking) + constant[:, None]
-    # the highest bound's profile sets each statistics' floor; every row
-    # that reaches it is profiled, by statistics and then in lexicographic
-    # order with a strict ">", which is the loop over all permutations
-    # restricted to the only candidates that can win it
-    first = bound.argmax(axis=1).tolist()
-    tops = [profile_loglik(stats, perms[row], bounds) for stats, row in zip(stack, first)]
-    top = np.array([fit.loglik for fit in tops])[:, None]
-    best: list[ProfileFit | None] = [None] * len(stack)
-    for s, row in zip(*np.nonzero(bound >= top - _PRUNE_SLACK * (1.0 + np.abs(top)))):
-        candidate = tops[s] if row == first[s] else profile_loglik(stack[s], perms[row], bounds)
-        if best[s] is None or candidate.loglik > best[s].loglik:
-            best[s] = candidate
+        n, n_judges = stack[0].n_objects, stack[0].n_judges
+        perms = _lex_permutations(n)
+        xbar = np.stack([stats.xbar for stats in stack])
+        rating = _rating_terms(
+            xbar[:, perms].reshape(-1, n), stack[0].max_rating, bounds
+        ).reshape(len(stack), -1)
+        disagreements = _disagreements(np.stack([stats.pair_counts for stats in stack]), perms)
+        ranking = _concentration_terms(disagreements / n_judges, n, bounds)
+        constant = np.array([stats.log_binom_const for stats in stack])
+        bound = n_judges * (rating + ranking) + constant[:, None]
+        # the highest bound's profile sets each statistics' floor; every row
+        # that reaches it is profiled, by statistics and then in lexicographic
+        # order with a strict ">", which is the loop over all permutations
+        # restricted to the only candidates that can win it
+        first = bound.argmax(axis=1).tolist()
+        tops = [profile_loglik(stats, perms[row], bounds) for stats, row in zip(stack, first)]
+        top = np.array([fit.loglik for fit in tops])[:, None]
+        best: list[ProfileFit | None] = [None] * len(stack)
+        for s, row in zip(*np.nonzero(bound >= top - _PRUNE_SLACK * (1.0 + np.abs(top)))):
+            candidate = tops[s] if row == first[s] else profile_loglik(stack[s], perms[row], bounds)
+            if best[s] is None or candidate.loglik > best[s].loglik:
+                best[s] = candidate
     search = dict(method="exhaustive", candidates_profiled=len(perms), nodes_expanded=0)
     return [FitResult(**vars(winner), **search) for winner in best]
 
@@ -592,38 +586,34 @@ def fit_best_first(data, bounds: ParamBounds = DEFAULT_BOUNDS) -> FitResult:
     # (-bound, prefix, decided disagreements), from the root: prefixes are
     # unique, so the count is never compared
     queue: list[tuple[float, tuple[int, ...], int]] = [(-math.inf, (), 0)]
+    # the incumbent, and the floor under it that prunes: its profile less
+    # the slack, or -inf until the first profile
     best: ProfileFit | None = None
+    floor = -math.inf
     candidates = 0
     nodes = 0
-
-    def slack() -> float:
-        return _PRUNE_SLACK * (1.0 + abs(best.loglik))
-
-    def consider(perm: tuple[int, ...]):
-        nonlocal best, candidates
-        candidate = profile_loglik(stats, perm, bounds)
-        candidates += 1
-        if (
-            best is None
-            or candidate.loglik > best.loglik
-            or (candidate.loglik == best.loglik and perm < tuple(best.consensus))
-        ):
-            best = candidate
-
     with _sharing_solves():
         while queue:
             neg_bound, prefix, decided = heapq.heappop(queue)
-            if best is not None and -neg_bound < best.loglik - slack():
+            if -neg_bound < floor:
                 break
             nodes += 1
             prefix_set = set(prefix)
             free = np.array([o for o in ascending if o not in prefix_set], dtype=np.intp)
             if free.size <= 2:
                 for obj in free.tolist():
-                    consider(prefix + (obj,) + tuple(free[free != obj].tolist()))
+                    perm = prefix + (obj,) + tuple(free[free != obj].tolist())
+                    candidate = profile_loglik(stats, perm, bounds)
+                    candidates += 1
+                    if (
+                        best is None
+                        or candidate.loglik > best.loglik
+                        or (candidate.loglik == best.loglik and perm < tuple(best.consensus))
+                    ):
+                        best = candidate
+                        floor = best.loglik - _PRUNE_SLACK * (1.0 + abs(best.loglik))
                 continue
             child_bounds, child_decided = _child_bounds(stats, prefix, free, bounds, decided)
-            floor = -math.inf if best is None else best.loglik - slack()
             for obj, bound, count in zip(
                 free.tolist(), child_bounds.tolist(), child_decided.tolist()
             ):

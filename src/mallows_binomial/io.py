@@ -13,11 +13,13 @@ and add up each cell's digits by place.  Any other file, or one that fails a
 check (an empty cell, a cell over 18 characters, a width change), is read
 again by the row parser, whose errors, the csv module's included, are
 ``ValueError``s naming the file and the physical line the row starts on,
-blank lines counted.  The writers take 2-D integer matrices only and build
-a file's bytes the same way: digit slots filled by place, leading zeros and
-unused sign slots masked out, giving the bytes ``csv.writer`` gives.  Every
-file is written to a temporary file beside its path and renamed into place,
-so a failed write never leaves a half-written file.
+blank lines counted.  The row parser decodes UTF-8 and drops a leading
+byte-order mark, which spreadsheet exports write.  The writers take 2-D
+integer matrices only and build a file's bytes the same way: digit slots
+filled by place, leading zeros and unused sign slots masked out, giving the
+bytes ``csv.writer`` gives.  Every file is written to a temporary file
+beside its path and renamed into place, so a failed write never leaves a
+half-written file.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ __all__ = [
 def _read_rows(path) -> tuple[array.array, list[list[str]]]:
     """The physical line each non-blank row of a CSV file starts on, and the rows."""
     lines, rows = array.array("q"), []
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         start = 1
         try:

@@ -278,6 +278,27 @@ def test_near_null_eleven_objects_fit_in_few_nodes():
     assert result.loglik == -1694.1727288154489
 
 
+@pytest.mark.parametrize(
+    "seed, nodes, profiled, consensus, loglik",
+    [
+        (0, 261, 8, [3, 1, 5, 0, 6, 4, 2, 11, 7, 8, 9, 10, 12], -2107.5963124995133),
+        (1, 454, 4, [1, 2, 0, 10, 5, 4, 8, 7, 3, 11, 9, 6, 12], -2102.053224595712),
+        (3, 16649, 164, [6, 3, 8, 5, 12, 4, 0, 10, 11, 2, 9, 1, 7], -2097.8832164609767),
+        (4, 745, 4, [0, 5, 7, 2, 3, 6, 9, 8, 4, 1, 11, 12, 10], -2110.4173305196146),
+    ],
+)
+def test_near_null_thirteen_objects_keep_their_search(seed, nodes, profiled, consensus, loglik):
+    # deeper searches than any golden file runs: their node and profile
+    # counts and their answer must not move.  Seed 2 (96 700 nodes, 206
+    # profiles) is left out, as it alone takes about five times as long as
+    # these four together
+    truth = Params(np.linspace(0.45, 0.55, 13), 0.01)
+    result = fit_best_first(sample_dataset(truth, 50, 5, seed=seed))
+    assert (result.nodes_expanded, result.candidates_profiled) == (nodes, profiled)
+    assert result.consensus.tolist() == consensus
+    assert result.loglik == loglik
+
+
 def test_direct_search_solves_theta_once_per_count(monkeypatch):
     data = near_null_panel(np.random.default_rng(3))
     expected, _, _ = fit_best_first_loop(data)

@@ -282,6 +282,22 @@ def test_read_accepts_whitespace(tmp_path):
     assert read_ratings(path).tolist() == [[1, 2]]
 
 
+def test_read_accepts_a_byte_order_mark_and_crlf(tmp_path, capsys):
+    # spreadsheet "CSV UTF-8" exports start with a UTF-8 byte-order mark
+    data, ratings, rankings = write_panel(tmp_path)
+    marked = [str(tmp_path / "bom_ratings.csv"), str(tmp_path / "bom_rankings.csv")]
+    for name in ("ratings.csv", "rankings.csv"):
+        plain = (tmp_path / name).read_bytes()
+        (tmp_path / f"bom_{name}").write_bytes(b"\xef\xbb\xbf" + plain.replace(b"\n", b"\r\n"))
+    assert np.array_equal(read_ratings(marked[0]), data.ratings)
+    assert np.array_equal(read_rankings(marked[1]), data.rankings)
+    results = []
+    for files in ((ratings, rankings), marked):
+        assert run(["fit", "--ratings", files[0], "--rankings", files[1], "--M", "5"]) == 0
+        results.append(json.loads(capsys.readouterr().out)["result"])
+    assert results[0] == results[1]
+
+
 def read_by_both_parsers(read) -> list:
     """``read()`` by the bulk path, then by the row parser alone: each
     outcome is the arrays ``read`` returns, as lists, or the error message."""
@@ -923,6 +939,21 @@ def _same_file_spellings(tmp_path):
     (tmp_path / "link.csv").symlink_to(tmp_path / "same.csv")
     return [str(tmp_path / "same.csv"), str(tmp_path / "sub" / ".." / "same.csv"),
             str(tmp_path / "link.csv")]
+
+
+@pytest.mark.parametrize("command", ["fit", "bootstrap"])
+@pytest.mark.parametrize("target", [0, 1], ids=["out=ratings", "out=rankings"])
+def test_cli_refuses_to_write_over_an_input(tmp_path, capsys, command, target):
+    _, ratings, rankings = write_panel(tmp_path)
+    files = [tmp_path / "ratings.csv", tmp_path / "rankings.csv"]
+    before = [path.read_bytes() for path in files]
+    status = run([command, "--ratings", ratings, "--rankings", rankings, "--M", "5",
+                  "--out", str(files[target])])
+    assert status == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --ratings, --rankings and --out must name different files\n"
+    assert [path.read_bytes() for path in files] == before
 
 
 @pytest.mark.parametrize(
