@@ -3,11 +3,11 @@
 Every subcommand writes exactly one output document (JSON by default, CSV
 summary on request) that echoes every parsed argument but ``--threads``, and
 exits with status 0 only when that document was completely written.  Bad
-input, a failed read or write, running out of memory and a size past numpy's
-integers each print one ``error:`` line and exit with status 1.  A document,
-like each CSV file of ``simulate``, goes to a temporary file beside its path
-and is renamed into place, so a failed write leaves any earlier file at that
-path untouched.
+input, a failed read or write, running out of memory, a size past numpy's
+integers and a worker process that dies each print one ``error:`` line and
+exit with status 1.  A document, like each CSV file of ``simulate``, goes
+to a temporary file beside its path and is renamed into place, so a failed
+write leaves any earlier file at that path untouched.
 ``simulate`` writes both CSV files before renaming either; only a failure
 between the two renames can leave the new ratings beside the earlier
 rankings.  ``fit``, ``bootstrap`` and ``simulate`` read, sample and write
@@ -25,13 +25,14 @@ import functools
 import json
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
 from .asymptotics import coverage_study, lan_check
 from .bootstrap import BootstrapResult, bootstrap_fit
 from .estimation import FitResult, fit
-from .io import _replacing, _write_atomically, read_dataset, write_ratings, write_rankings
+from .io import _replacing, read_dataset, write_ratings, write_rankings
 from .model import DEFAULT_BOUNDS, ParamBounds, Params
 from .sampling import sample_dataset
 
@@ -341,8 +342,9 @@ def run(argv=None) -> int:
         if args.out == "-":
             sys.stdout.write(text)
         else:
-            _write_atomically(args.out, text)
-    except (ValueError, OSError, MemoryError, OverflowError) as error:
+            with _replacing(args.out) as (temporary,), open(temporary, "xb") as handle:
+                handle.write(text.encode())
+    except (ValueError, OSError, MemoryError, OverflowError, BrokenExecutor) as error:
         print(f"error: {str(error) or type(error).__name__}", file=sys.stderr)
         return 1
     return 0

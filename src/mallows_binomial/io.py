@@ -13,13 +13,13 @@ and add up each cell's digits by place.  Any other file, or one that fails a
 check (an empty cell, a cell over 18 characters, a width change), is read
 again by the row parser, whose errors, the csv module's included, are
 ``ValueError``s naming the file and the physical line the row starts on,
-blank lines counted.  The row parser decodes UTF-8 and drops a leading
-byte-order mark, which spreadsheet exports write.  The writers take 2-D
-integer matrices only and build a file's bytes the same way: digit slots
-filled by place, leading zeros and unused sign slots masked out, giving the
-bytes ``csv.writer`` gives.  Every file is written to a temporary file
-beside its path and renamed into place, so a failed write never leaves a
-half-written file.
+blank lines counted.  The row parser decodes UTF-8, spelling any other byte
+as its ``\\xNN`` escape, and drops a leading byte-order mark, which
+spreadsheet exports write.  The writers take 2-D integer matrices only and
+build a file's bytes the same way: digit slots filled by place, leading
+zeros and unused sign slots masked out, giving the bytes ``csv.writer``
+gives.  Every file is written to a temporary file beside its path and
+renamed into place, so a failed write never leaves a half-written file.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ __all__ = [
 def _read_rows(path) -> tuple[array.array, list[list[str]]]:
     """The physical line each non-blank row of a CSV file starts on, and the rows."""
     lines, rows = array.array("q"), []
-    with open(path, newline="", encoding="utf-8-sig") as handle:
+    # a byte that is not UTF-8 becomes its \xNN escape, for the checks to name
+    with open(path, newline="", encoding="utf-8-sig", errors="backslashreplace") as handle:
         reader = csv.reader(handle)
         start = 1
         try:
@@ -235,17 +236,6 @@ def _replacing(*paths):
             with contextlib.suppress(FileNotFoundError):
                 os.remove(temporary)
         raise
-
-
-def _write_atomically(path, text: str) -> None:
-    """Write ``text`` to a fresh file beside ``path``, then rename it into place.
-
-    Readers of ``path`` see the old file or the complete new one, never a
-    partial write; on any failure the temporary file is removed.
-    """
-    with _replacing(path) as (temporary,):
-        with open(temporary, "x", newline="") as handle:
-            handle.write(text)
 
 
 def _integer_matrix(matrix) -> np.ndarray:

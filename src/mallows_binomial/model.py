@@ -447,7 +447,11 @@ class SufficientStats:
         return _stats_from_sums(
             # summed in float64, as ratings.mean(axis=0) sums them
             data.ratings.sum(axis=0, dtype=np.float64)[None],
-            _pair_indicators(data.rankings).sum(axis=0, dtype=np.int64).reshape(1, -1),
+            # summed over blocks of judges: the (I, J, J) indicator is never whole
+            sum(
+                _pair_indicators(data.rankings[lo : lo + 4096]).sum(axis=0, dtype=np.int64)
+                for lo in range(0, data.n_judges, 4096)
+            ).reshape(1, -1),
             np.bincount(data.ratings.ravel(), minlength=_n_levels(data.max_rating))[None],
             data.n_judges,
             data.max_rating,

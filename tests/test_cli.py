@@ -17,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mallows_binomial import DEFAULT_BOUNDS, Params, cli, model, sample_dataset
+from mallows_binomial import DEFAULT_BOUNDS, Params, bootstrap, cli, model, sample_dataset
 from mallows_binomial import io as mb_io
+from mallows_binomial.bootstrap import _fit_replicates
 from mallows_binomial.cli import run
 from mallows_binomial.io import (
     read_dataset,
@@ -296,6 +297,29 @@ def test_read_accepts_a_byte_order_mark_and_crlf(tmp_path, capsys):
         assert run(["fit", "--ratings", files[0], "--rankings", files[1], "--M", "5"]) == 0
         results.append(json.loads(capsys.readouterr().out)["result"])
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize(
+    "ratings_text, rankings_text, bad, expected",
+    [(b"obj_1,obj_2\n1,2\n3,\xff4\n", b"1,2\n2,1\n", "r.csv",
+      r"line 3, column 2: '\\xff4' is not an integer"),
+     (b"obj_\xff1,obj_2\n1,2\n3,4\n", b"1,2\n2,1\n", "r.csv",
+      r"line 1: expected header obj_1,obj_2, got obj_\xff1,obj_2"),
+     (b"obj_1,obj_2\n1,2\n3,4\n", b"1,2\n\n\xff2,1\n", "k.csv",
+      r"line 3, column 1: '\\xff2' is not an integer")],
+    ids=["ratings cell", "ratings header", "rankings row"],
+)
+def test_cli_names_the_file_and_line_of_a_byte_that_is_not_utf8(
+    tmp_path, capsys, ratings_text, rankings_text, bad, expected
+):
+    (tmp_path / "r.csv").write_bytes(ratings_text)
+    (tmp_path / "k.csv").write_bytes(rankings_text)
+    status = run(["fit", "--ratings", str(tmp_path / "r.csv"),
+                  "--rankings", str(tmp_path / "k.csv"), "--M", "5"])
+    assert status == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {tmp_path / bad}, {expected}\n"
 
 
 def read_by_both_parsers(read) -> list:
@@ -982,3 +1006,52 @@ def test_cli_simulate_refuses_one_file_for_two_outputs(
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "--ratings, --rankings and --out" in captured.err
     assert sorted(os.listdir(tmp_path)) == before
+
+
+def _rows_that_die_past_the_first_range(tables, seed, bounds, start, stop):
+    if start > 0:
+        os._exit(3)
+    yield from _fit_replicates(tables, seed, bounds, start, stop)
+
+
+def test_cli_reports_a_pool_process_that_dies(tmp_path, monkeypatch, capsys):
+    # the second range runs in a pool process, which exits without a reply
+    _, ratings, rankings = write_panel(tmp_path, n_judges=10)
+    monkeypatch.setattr(bootstrap, "_fit_replicates", _rows_that_die_past_the_first_range)
+    out = tmp_path / "boot.json"
+    status = run(["bootstrap", "--ratings", ratings, "--rankings", rankings, "--M", "5",
+                  "--B", "8", "--threads", "2", "--out", str(out)])
+    assert status == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "terminated abruptly" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fit", "--M", "5"],
+     ["bootstrap", "--M", "5", "--B", "8"],
+     SIMULATE,
+     ["lan-check", "--p", "0.2,0.5,0.8", "--theta", "1.5", "--judges", "30",
+      "--M", "5", "--R", "3"],
+     ["coverage", "--p", "0.2,0.5,0.8", "--theta", "1.5", "--judges", "20",
+      "--M", "5", "--R", "2", "--B", "6"]],
+    ids=lambda argv: argv[0],
+)
+def test_cli_writes_no_file_through_the_locale_encoding(tmp_path, argv):
+    _, ratings, rankings = write_panel(tmp_path, n_judges=10)
+    if argv[0] in ("fit", "bootstrap"):
+        argv = argv + ["--ratings", ratings, "--rankings", rankings]
+    elif argv[0] == "simulate":
+        argv = argv + ["--ratings", str(tmp_path / "sim_r.csv"),
+                       "--rankings", str(tmp_path / "sim_k.csv")]
+    out = tmp_path / "doc.json"
+    done = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "mallows_binomial.cli", *argv, "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(out.read_bytes())["config"]["subcommand"] == argv[0]

@@ -598,6 +598,35 @@ def test_stats_of_a_large_panel_are_the_direct_formula_bit_for_bit(seed):
     assert_stats_are_the_direct_formula(Dataset(ratings, rankings, 1000))
 
 
+def test_stats_summed_over_judge_blocks_are_the_direct_formula_bit_for_bit():
+    # from_dataset sums the pair indicators over blocks of 4096 judges: here
+    # two whole blocks and a block of one judge
+    rng = np.random.default_rng(4)
+    n_judges, n = 2 * 4096 + 1, 7
+    ratings = rng.integers(0, 6, size=(n_judges, n))
+    rankings = np.argsort(rng.random((n_judges, n)), axis=1)
+    assert_stats_are_the_direct_formula(Dataset(ratings, rankings, 5))
+
+
+def test_stats_of_a_large_panel_peak_below_24_mib():
+    rng = np.random.default_rng(0)
+    n_judges, n = 100_000, 20
+    data = Dataset(
+        rng.integers(0, 6, size=(n_judges, n)),
+        np.argsort(rng.random((n_judges, n)), axis=1),
+        5,
+    )
+    tracemalloc.start()
+    try:
+        SufficientStats.from_dataset(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole (I, J, J) indicator and its argsort positions took 53.5 MiB;
+    # the float64 ratings sum now sets the peak, near 15 MiB
+    assert peak < 24 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 # ---------------------------------------------------------------------------
 # joint log-likelihood
 
