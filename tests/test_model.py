@@ -622,8 +622,8 @@ def test_stats_of_a_large_panel_peak_below_24_mib():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the whole (I, J, J) indicator and its argsort positions took 53.5 MiB;
-    # the float64 ratings sum now sets the peak, near 15 MiB
+    # the judge blocks keep the (I, J, J) indicator, 53.5 MiB whole, out of
+    # the peak; the float64 ratings sum sets it, near 15 MiB
     assert peak < 24 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
