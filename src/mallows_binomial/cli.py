@@ -266,56 +266,47 @@ _HANDLERS = {
 }
 
 
-def _consensus_text(labels: list[int]) -> str:
-    return ">".join(str(label) for label in labels)
+def _cell(value) -> str:
+    """A CSV summary cell; a list is a consensus ranking, spelt best first as 3>1>2."""
+    return ">".join(map(str, value)) if isinstance(value, list) else str(value)
 
 
 def _csv_lines(payload: dict) -> list[str]:
-    """Flat CSV summary of a result document, config echoed as comments."""
-    config = payload["config"]
-    result = payload["result"]
-    lines = [f"# {key}={config[key]}" for key in sorted(config)]
-    kind = config["subcommand"]
-    if kind in ("fit", "simulate"):
-        lines.append("parameter,value")
+    """Flat CSV summary of a result document, config echoed as comments: a
+    header row, then value rows padded with empty cells to the header's width.
+    """
+    config, result = payload["config"], payload["result"]
+
+    def p_rows(*columns) -> list[list]:
+        return [[f"p_{j}", *cells] for j, cells in enumerate(zip(*columns), start=1)]
+
+    if config["subcommand"] in ("fit", "simulate"):
+        rows = [["parameter", "value"]]
         for key, value in result.items():
-            if key == "consensus":
-                value = _consensus_text(value)
-            elif key == "p":
-                for j, v in enumerate(value, start=1):
-                    lines.append(f"p_{j},{v}")
-                continue
-            lines.append(f"{key},{value}")
-    elif kind == "bootstrap":
+            rows += p_rows(value) if key == "p" else [[key, value]]
+    elif config["subcommand"] == "bootstrap":
         point = result["point"]
-        lines.append("parameter,point,lower,upper")
-        for j, (v, (lo, hi)) in enumerate(
-            zip(point["p"], result["p_intervals"]), start=1
-        ):
-            lines.append(f"p_{j},{v},{lo},{hi}")
-        lo, hi = result["theta_interval"]
-        lines.append(f"theta,{point['theta']},{lo},{hi}")
-        lines.append(f"consensus,{_consensus_text(point['consensus'])},,")
-        for key in ("loglik", "clamp_rate", "consensus_agreement", "n_replicates"):
-            source = point if key == "loglik" else result
-            lines.append(f"{key},{source[key]},,")
-    else:  # lan-check / coverage
-        lines.append("parameter,coverage,detail_1,detail_2")
-        for j, coverage in enumerate(result["p_coverage"], start=1):
-            if result["p_z_mean"] is not None:
-                detail = f"{result['p_z_mean'][j - 1]},{result['p_z_sd'][j - 1]}"
-            else:
-                detail = f"{result['p_interval_width'][j - 1]},"
-            lines.append(f"p_{j},{coverage},{detail}")
-        if result["theta_z_mean"] is not None:
-            detail = f"{result['theta_z_mean']},{result['theta_z_sd']}"
-        else:
-            detail = f"{result['theta_interval_width']},"
-        lines.append(f"theta,{result['theta_coverage']},{detail}")
-        lines.append(f"consensus_recovery_rate,{result['consensus_recovery_rate']},,")
+        rows = [
+            ["parameter", "point", "lower", "upper"],
+            *p_rows(point["p"], *zip(*result["p_intervals"])),
+            ["theta", point["theta"], *result["theta_interval"]],
+            ["consensus", point["consensus"]],
+            ["loglik", point["loglik"]],
+            *([k, result[k]] for k in ("clamp_rate", "consensus_agreement", "n_replicates")),
+        ]
+    else:  # lan-check's details are z means and sds, coverage's interval widths
+        details = ("z_mean", "z_sd") if result["p_z_mean"] is not None else ("interval_width",)
+        rows = [
+            ["parameter", "coverage", "detail_1", "detail_2"],
+            *p_rows(result["p_coverage"], *(result[f"p_{name}"] for name in details)),
+            ["theta", result["theta_coverage"], *(result[f"theta_{name}"] for name in details)],
+            ["consensus_recovery_rate", result["consensus_recovery_rate"]],
+        ]
         if result["theta_clamp_rate"] is not None:
-            lines.append(f"theta_clamp_rate,{result['theta_clamp_rate']},,")
-    return lines
+            rows.append(["theta_clamp_rate", result["theta_clamp_rate"]])
+    width = len(rows[0])
+    cells = [",".join(map(_cell, row)) + "," * (width - len(row)) for row in rows]
+    return [f"# {key}={config[key]}" for key in sorted(config)] + cells
 
 
 def _render(payload: dict, fmt: str) -> str:

@@ -11,15 +11,16 @@ A plain file, only ASCII digits, commas and newlines under an exact header,
 is read as a digit matrix: numpy passes over its bytes find the separators
 and add up each cell's digits by place.  Any other file, or one that fails a
 check (an empty cell, a cell over 18 characters, a width change), is read
-again by the row parser, whose errors, the csv module's included, are
-``ValueError``s naming the file and the physical line the row starts on,
-blank lines counted.  The row parser decodes UTF-8, spelling any other byte
-as its ``\\xNN`` escape, and drops a leading byte-order mark, which
-spreadsheet exports write.  The writers take 2-D integer matrices only and
-build a file's bytes the same way: digit slots filled by place, leading
-zeros and unused sign slots masked out, giving the bytes ``csv.writer``
-gives.  Every file is written to a temporary file beside its path and
-renamed into place, so a failed write never leaves a half-written file.
+again by the row parser.  Its cells are an optional sign and ASCII digits,
+and its errors, the csv module's included, are ``ValueError``s naming the
+file and the physical line the row starts on, blank lines counted.  The
+row parser decodes UTF-8, spelling any other byte as its ``\\xNN`` escape,
+and drops a leading byte-order mark, which spreadsheet exports write.  The
+writers take 2-D integer matrices only and build a file's bytes the same
+way: digit slots filled by place, leading zeros and unused sign slots
+masked out, giving the bytes ``csv.writer`` gives.  Every file is written
+to a temporary file beside its path and renamed into place, so a failed
+write never leaves a half-written file.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import array
 import contextlib
 import csv
 import os
+import re
 
 import numpy as np
 
@@ -64,29 +66,27 @@ def _read_rows(path) -> tuple[array.array, list[list[str]]]:
     return lines, rows
 
 
-def _parse_int_row(path, line_no: int, row: list[str], width: int) -> list[int]:
-    if len(row) != width:
-        raise ValueError(
-            f"{path}, line {line_no}: expected {width} columns, got {len(row)}"
-        )
-    values = []
-    for col, cell in enumerate(row, start=1):
-        try:
-            values.append(int(cell))
-        except ValueError:
-            raise ValueError(
-                f"{path}, line {line_no}, column {col}: {cell!r} is not an integer"
-            ) from None
-        if not -(2**63) <= values[-1] < 2**63:
-            raise ValueError(
-                f"{path}, line {line_no}, column {col}: {cell!r} is not a 64-bit integer"
-            )
-    return values
+def _header(width: int) -> str:
+    return ",".join(f"obj_{j}" for j in range(1, width + 1))
 
 
 def _parse_int_rows(path, lines, rows: list[list[str]], width: int) -> np.ndarray:
-    parsed = [_parse_int_row(path, line_no, row, width) for line_no, row in zip(lines, rows)]
-    return np.array(parsed, dtype=np.int64)
+    """The row parser's matrix: every row ``width`` cells, each an optional sign
+    and ASCII digits (``int`` alone also takes ``1_0`` and other scripts' digits).
+    """
+    values = np.empty((len(rows), width), np.int64)
+    for row_values, line_no, row in zip(values, lines, rows):
+        where = f"{path}, line {line_no}"
+        if len(row) != width:
+            raise ValueError(f"{where}: expected {width} columns, got {len(row)}")
+        for col, cell in enumerate(row, start=1):
+            if not re.fullmatch("[+-]?[0-9]+", cell):
+                raise ValueError(f"{where}, column {col}: {cell!r} is not an integer")
+            value = int(cell)
+            if not -(2**63) <= value < 2**63:
+                raise ValueError(f"{where}, column {col}: {cell!r} is not a 64-bit integer")
+            row_values[col - 1] = value
+    return values
 
 
 def _digit_cells(body: bytes, width: int | None) -> np.ndarray | None:
@@ -138,7 +138,7 @@ def _read_plain(path, header: bool, width: int | None = None) -> np.ndarray | No
     if header:
         head, _, body = body.partition(b"\n")
         width = head.count(b",") + 1
-        if head != ",".join(f"obj_{j}" for j in range(1, width + 1)).encode():
+        if head != _header(width).encode():
             return None
     if body.translate(None, b"0123456789,\n") or not body.strip(b"\n"):
         return None
@@ -155,12 +155,9 @@ def read_ratings(path) -> np.ndarray:
     if ratings is not None:
         return ratings
     lines, (header, *rows) = _read_rows(path)
-    expected = [f"obj_{j}" for j in range(1, len(header) + 1)]
-    if header != expected:
-        raise ValueError(
-            f"{path}, line {lines[0]}: expected header {','.join(expected)}, "
-            f"got {','.join(header)}"
-        )
+    got, expected = ",".join(header), _header(len(header))
+    if got != expected:
+        raise ValueError(f"{path}, line {lines[0]}: expected header {expected}, got {got}")
     if not rows:
         raise ValueError(f"{path}: no judge rows after the header")
     return _parse_int_rows(path, lines[1:], rows, len(header))
@@ -283,8 +280,7 @@ def _write_digits(path, matrix: np.ndarray, header: str = "") -> None:
 def write_ratings(path, ratings) -> None:
     """Write an integer ratings matrix with the ``obj_1..obj_J`` header."""
     ratings = _integer_matrix(ratings)
-    header = ",".join(f"obj_{j}" for j in range(1, ratings.shape[1] + 1))
-    _write_digits(path, ratings, header + "\n")
+    _write_digits(path, ratings, _header(ratings.shape[1]) + "\n")
 
 
 def write_rankings(path, rankings) -> None:

@@ -281,6 +281,28 @@ def test_read_accepts_whitespace(tmp_path):
     path = tmp_path / "r.csv"
     path.write_text("obj_1, obj_2\n 1 , 2 \n")
     assert read_ratings(path).tolist() == [[1, 2]]
+    path.write_text('obj_1,obj_2\n+1, 1 \n"1",-1\n')
+    assert read_ratings(path).tolist() == [[1, 1], [1, -1]]
+
+
+# int() alone also reads "_" between digits and the decimal digits of any script
+NOT_ASCII_DIGITS = ["1_0", "0_2", "٢", "١٠"]
+
+
+@pytest.mark.parametrize("cell", NOT_ASCII_DIGITS)
+def test_readers_refuse_a_cell_of_other_than_ascii_digits(tmp_path, capsys, cell):
+    ratings, rankings = tmp_path / "r.csv", tmp_path / "k.csv"
+    ratings.write_text(f"obj_1,obj_2,obj_3\n{cell},2,3\n3,2,1\n", encoding="utf-8")
+    rankings.write_text(f"1,2,3\n3,{cell},1\n", encoding="utf-8")
+    for read, path, column in [(read_ratings, ratings, 1), (read_rankings, rankings, 2)]:
+        message = f"{path}, line 2, column {column}: {cell!r} is not an integer"
+        with pytest.raises(ValueError) as error:
+            read(path)
+        assert str(error.value) == message
+    ratings.write_text("obj_1,obj_2,obj_3\n1,2,3\n3,2,1\n")
+    status = run(["fit", "--ratings", str(ratings), "--rankings", str(rankings), "--M", "5"])
+    assert status == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_read_accepts_a_byte_order_mark_and_crlf(tmp_path, capsys):
@@ -345,7 +367,12 @@ DIGIT_CELLS = st.one_of(
          "999999999999999999", "0" * 17 + "1", "0" * 20 + "1"]
     ),
 )
-CELLS = st.one_of(DIGIT_CELLS, st.sampled_from([" 3", "+3", "1_0", "-1", "", '"2"', "x"]))
+# cells int() reads: the row parser takes the first four and refuses the rest
+INT_CELLS = st.sampled_from([" 3", "+3", "-1", '"2"', *NOT_ASCII_DIGITS])
+CELLS = st.one_of(
+    DIGIT_CELLS,
+    st.sampled_from([" 3", "+3", "-1", "", '"2"', "x", "+-1", "- 1", *NOT_ASCII_DIGITS]),
+)
 
 
 @st.composite
@@ -357,13 +384,16 @@ def panel_files(draw, header: bool) -> tuple[str, int]:
         names = ",".join(f"obj_{j}" for j in range(1, width + 1))
         lines.append(draw(st.sampled_from([names, names, names, " " + names, "#" + names])))
     for _ in range(draw(st.integers(0, 5))):
-        kind = draw(st.sampled_from(["plain"] * 5 + ["digits", "spelled", "blank", "commas", "#"]))
+        kinds = ["plain"] * 5 + ["digits", "spelled", "int", "blank", "commas", "#"]
+        kind = draw(st.sampled_from(kinds))
         if kind == "plain":
             lines.append(",".join(map(str, draw(st.permutations(range(1, width + 1))))))
         elif kind in ("digits", "spelled"):
             row_width = draw(st.sampled_from([width, width, width + 1, max(width - 1, 1)]))
             cells = DIGIT_CELLS if kind == "digits" else CELLS
             lines.append(",".join(draw(st.lists(cells, min_size=row_width, max_size=row_width))))
+        elif kind == "int":
+            lines.append(",".join(draw(st.lists(INT_CELLS, min_size=width, max_size=width))))
         else:
             lines.append({"blank": "", "commas": "," * (width - 1), "#": "# note"}[kind])
     newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
@@ -389,24 +419,33 @@ def is_digit_matrix(text: str, header: bool, width: int | None = None) -> bool:
     )
 
 
+def has_a_cell_int_alone_reads(text: str, header: bool = False) -> bool:
+    """Whether a row below the header holds one of :data:`NOT_ASCII_DIGITS`,
+    which both readers must refuse."""
+    body = text.split("\n", 1)[-1] if header else text
+    return any(cell in body for cell in NOT_ASCII_DIGITS)
+
+
 @settings(max_examples=300, deadline=None)
 @given(panel_files(header=True), panel_files(header=False))
 def test_bulk_and_row_parsers_agree(ratings_file, rankings_file):
     with tempfile.TemporaryDirectory() as directory:
         ratings, rankings = os.path.join(directory, "r.csv"), os.path.join(directory, "k.csv")
-        with open(ratings, "w", newline="") as handle:
+        with open(ratings, "w", newline="", encoding="utf-8") as handle:
             handle.write(ratings_file[0])
-        with open(rankings, "w", newline="") as handle:
+        with open(rankings, "w", newline="", encoding="utf-8") as handle:
             handle.write(rankings_file[0])
         taken = mb_io._read_plain(ratings, header=True) is not None
         assert taken == is_digit_matrix(ratings_file[0], header=True)
         bulk, rows = read_by_both_parsers(lambda: [read_ratings(ratings)])
         assert bulk == rows
+        assert isinstance(rows, str) or not has_a_cell_int_alone_reads(ratings_file[0], True)
         for args in [(), (rankings_file[1],), (rankings_file[1] + 1,)]:
             taken = mb_io._read_plain(rankings, False, *args) is not None
             assert taken == is_digit_matrix(rankings_file[0], False, *args)
             bulk, rows = read_by_both_parsers(lambda: [read_rankings(rankings, *args)])
             assert bulk == rows
+            assert isinstance(rows, str) or not has_a_cell_int_alone_reads(rankings_file[0])
 
         def dataset():
             data = read_dataset(ratings, rankings, 12)
@@ -518,6 +557,34 @@ def test_cli_csv_format(tmp_path, capsys):
     assert "parameter,value" in lines
     assert any(line.startswith("p_1,") for line in lines)
     assert any(line.startswith("theta,") for line in lines)
+
+
+SUMMARY_ARGS = {
+    "fit": ["--M", "5"],
+    "simulate": ["--p", "0.2,0.5,0.8", "--theta", "1.5", "--judges", "20", "--M", "5"],
+    "bootstrap": ["--M", "5", "--B", "10"],
+    "lan-check": ["--p", "0.2,0.5,0.8", "--theta", "1.5", "--judges", "30", "--M", "5",
+                  "--R", "4"],
+    "coverage": ["--p", "0.2,0.5,0.8", "--theta", "1.5", "--judges", "30", "--M", "5",
+                 "--R", "3", "--B", "10"],
+}
+
+
+@pytest.mark.parametrize("command", list(SUMMARY_ARGS))
+def test_cli_csv_summary_is_a_rectangle(tmp_path, capsys, command):
+    # every row is padded with empty cells to the header's width
+    _, ratings, rankings = write_panel(tmp_path)
+    if command == "simulate":
+        ratings, rankings = str(tmp_path / "new_r.csv"), str(tmp_path / "new_k.csv")
+    studies = ("lan-check", "coverage")
+    panel = [] if command in studies else ["--ratings", ratings, "--rankings", rankings]
+    assert run([command, *SUMMARY_ARGS[command], *panel, "--format", "csv"]) == 0
+    header, *rows = [
+        line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")
+    ]
+    assert header.startswith("parameter,") and len(rows) >= 5
+    for row in rows:
+        assert row.count(",") == header.count(","), row
 
 
 def parser_actions(parser):
